@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .chain import FiniteChain, canonical_signature, chain_from_json, enumerate_chains
+from .chain import (
+    FiniteChain,
+    canonical_signature,
+    chain_from_json,
+    enumerate_chains,
+    enumeration_cap,
+)
 from .constructors import NestedSumDescriptor, com, go, nested_sum
 from .decomposition import decompose
 from .errors import (
@@ -24,6 +30,7 @@ from .errors import (
     NotIdempotent,
     ShapeMismatch,
     SharedOrderConflict,
+    SizeTooLarge,
 )
 from .morphisms import (
     ChainMap,
@@ -131,9 +138,13 @@ def verify_amalgam(span: Span, result: AmalgamResult) -> bool:
     )
 
 
-def _default_candidates(size_bound: int) -> Iterable[FiniteChain]:
-    for n in range(1, size_bound + 1):
-        yield from enumerate_chains(n, frozenset(), max_size=size_bound)
+def _default_candidates(size_bound: int) -> list:
+    """Every residuated chain up to size_bound. A bound past the
+    enumeration cap is refused before any chain is enumerated."""
+    cap = enumeration_cap()
+    if size_bound > cap:
+        raise SizeTooLarge(f"size {size_bound} exceeds the enumeration cap {cap}")
+    return [d for n in range(1, size_bound + 1) for d in enumerate_chains(n)]
 
 
 def find_amalgam(

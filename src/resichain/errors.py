@@ -46,6 +46,12 @@ class InvalidChainError(ResichainError):
         return {"error": self.code, "violations": [v.as_dict() for v in self.violations]}
 
 
+class MalformedInput(ResichainError):
+    """Input data that is not JSON or not shaped like what it encodes."""
+
+    code = "MalformedInput"
+
+
 class SizeTooLarge(ResichainError):
     code = "SizeTooLarge"
 

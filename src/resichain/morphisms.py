@@ -215,15 +215,6 @@ class Congruence:
         if self.chain.unit not in self.kernel_class:
             raise ValueError("kernel_class must contain the unit")
 
-    def block_index(self, x: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if blk[0] <= x <= blk[-1]:
-                return i
-        raise ValueError("element out of range")
-
-    def is_diagonal(self) -> bool:
-        return all(len(blk) == 1 for blk in self.blocks)
-
 
 def _interval_is_normal_subuniverse(chain: FiniteChain, lo: int, hi: int) -> bool:
     """Whether [lo, hi] carries a subuniverse closed under the conjugation
@@ -269,6 +260,13 @@ def _blocks_from_kernel(chain: FiniteChain, lo: int, hi: int) -> tuple:
     return tuple(blocks)
 
 
+def _congruence(chain: FiniteChain, lo: int, hi: int) -> Congruence:
+    """The congruence of a kernel interval already known to be one."""
+    blocks = _blocks_from_kernel(chain, lo, hi)
+    kernel_class = next(blk for blk in blocks if blk[0] <= chain.unit <= blk[-1])
+    return Congruence(chain, blocks, kernel_class)
+
+
 def congruence_from_kernel(chain: FiniteChain, kernel: Sequence[int]) -> Congruence:
     """Build the congruence whose unit class is the given interval."""
     lo, hi = min(kernel), max(kernel)
@@ -278,9 +276,7 @@ def congruence_from_kernel(chain: FiniteChain, kernel: Sequence[int]) -> Congrue
         raise ValueError("kernel must contain the unit")
     if not _interval_is_normal_subuniverse(chain, lo, hi):
         raise ValueError("kernel is not a normal convex subuniverse")
-    blocks = _blocks_from_kernel(chain, lo, hi)
-    kernel_class = next(blk for blk in blocks if blk[0] <= chain.unit <= blk[-1])
-    return Congruence(chain, blocks, kernel_class)
+    return _congruence(chain, lo, hi)
 
 
 def congruences(chain: FiniteChain) -> list:
@@ -294,7 +290,7 @@ def congruences(chain: FiniteChain) -> list:
             if hi >= chain.size or hi < u:
                 continue
             if _interval_is_normal_subuniverse(chain, lo, hi):
-                out.append(congruence_from_kernel(chain, range(lo, hi + 1)))
+                out.append(_congruence(chain, lo, hi))
     return out
 
 

@@ -1,0 +1,365 @@
+"""Self-checks: brute-force oracles and the lemma suites built on them.
+
+The oracles recompute facts from the raw Cayley table (``size``, ``unit``
+and ``mult`` only) so the code under test never certifies itself. Slow is
+fine; they only run at test sizes. Each suite replays one structural lemma
+the library leans on and returns ``(checked, failures)``; the test suite
+and ``resichain verify`` share both.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from functools import partial
+
+from . import zchain
+from .amalgamation import Span, amalgamate_components, verify_amalgam
+from .chain import (
+    ELL,
+    LEFT,
+    R,
+    RIGHT,
+    STAR,
+    derived,
+    enumerate_chains,
+    iso_equal,
+    residual,
+    signature_hex,
+)
+from .constructors import com, go
+from .decomposition import count_chains, decompose, recompose
+from .errors import ResichainError
+from .morphisms import (
+    ChainMap,
+    congruence_from_kernel,
+    congruences,
+    enumerate_embeddings,
+    is_embedding,
+    quotient,
+)
+from .words import parse_word
+from .zchain import as_unary, parse_element
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def brute_residual(chain, x, y, side):
+    # max z with x*z <= y (left) or z*x <= y (right); z=0 always works
+    # because the bottom absorbs, so the max exists
+    best = 0
+    for z in chain.elements():
+        prod = chain.mul(x, z) if side == LEFT else chain.mul(z, x)
+        if prod <= y:
+            best = z
+    return best
+
+
+def brute_ell(chain, x):
+    # e/x
+    return brute_residual(chain, x, chain.unit, RIGHT)
+
+
+def brute_r(chain, x):
+    # x\e
+    return brute_residual(chain, x, chain.unit, LEFT)
+
+
+def brute_star(chain, x):
+    return min(brute_ell(chain, x), brute_r(chain, x))
+
+
+def residual_tables(chain):
+    n = chain.size
+    left = [[brute_residual(chain, x, y, LEFT) for y in range(n)] for x in range(n)]
+    right = [[brute_residual(chain, x, y, RIGHT) for y in range(n)] for x in range(n)]
+    return left, right
+
+
+def definitional_homomorphism(a, b, image, tables_a=None, tables_b=None):
+    """Pointwise preservation of every operation: unit, meet, join,
+    product, both residuals. No shortcuts."""
+    la, ra = tables_a if tables_a else residual_tables(a)
+    lb, rb = tables_b if tables_b else residual_tables(b)
+    if image[a.unit] != b.unit:
+        return False
+    for x in range(a.size):
+        for y in range(a.size):
+            if image[a.mul(x, y)] != b.mul(image[x], image[y]):
+                return False
+            if image[min(x, y)] != min(image[x], image[y]):
+                return False
+            if image[max(x, y)] != max(image[x], image[y]):
+                return False
+            if image[la[x][y]] != lb[image[x]][image[y]]:
+                return False
+            if image[ra[x][y]] != rb[image[x]][image[y]]:
+                return False
+    return True
+
+
+def definitional_embedding(a, b, image, tables_a=None, tables_b=None):
+    if len(set(image)) != a.size:
+        return False
+    return definitional_homomorphism(a, b, image, tables_a, tables_b)
+
+
+def brute_congruence_blocks(chain):
+    """All interval partitions compatible with product and residuals.
+
+    Classes of a chain congruence are order-convex, so scanning the
+    2^(n-1) cut patterns is exhaustive. Meet and join are automatically
+    compatible with any interval partition.
+    """
+    n = chain.size
+    left, right = residual_tables(chain)
+    out = []
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        block = [0] * n
+        b = 0
+        for i in range(1, n):
+            if cuts[i - 1]:
+                b += 1
+            block[i] = b
+        ok = True
+        for x in range(n):
+            for y in range(n):
+                for u in range(n):
+                    if block[x] != block[u]:
+                        continue
+                    for v in range(n):
+                        if block[y] != block[v]:
+                            continue
+                        if block[chain.mul(x, y)] != block[chain.mul(u, v)]:
+                            ok = False
+                        elif block[left[x][y]] != block[left[u][v]]:
+                            ok = False
+                        elif block[right[x][y]] != block[right[u][v]]:
+                            ok = False
+                        if not ok:
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            blocks = []
+            for i in range(n):
+                if i == 0 or block[i] != block[i - 1]:
+                    blocks.append([i])
+                else:
+                    blocks[-1].append(i)
+            out.append(tuple(tuple(blk) for blk in blocks))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# lemma suites: each takes (max_size, seed, jobs)
+
+
+def _idempotent_pool(max_size: int) -> list:
+    out = []
+    for n in range(1, max_size + 1):
+        out.extend(enumerate_chains(n, filters=("idempotent",)))
+    return out
+
+
+def _emb_criterion_worker(na: int, max_size: int):
+    checked, failures = 0, []
+    pool = _idempotent_pool(max_size)
+    tables = [residual_tables(c) for c in pool]
+    for a, tables_a in zip(pool, tables):
+        if a.size != na:
+            continue
+        for b, tables_b in zip(pool, tables):
+            if b.size < a.size:
+                continue
+            for image in itertools.permutations(b.elements(), a.size):
+                checked += 1
+                if is_embedding(ChainMap(a, b, image)) != definitional_embedding(
+                    a, b, image, tables_a, tables_b
+                ):
+                    failures.append(
+                        f"criterion mismatch: {signature_hex(a)}->{signature_hex(b)} {image}"
+                    )
+    return checked, failures
+
+
+def suite_embedding_criterion(max_size: int, seed: int, jobs: int):
+    worker = partial(_emb_criterion_worker, max_size=max_size)
+    return _merge(_pmap(worker, list(range(1, max_size + 1)), jobs))
+
+
+def _closed_forms_worker(n: int):
+    checked, failures = 0, []
+    for c in enumerate_chains(n, filters=("commutative", "idempotent")):
+        for x in c.elements():
+            xr = derived(c, x, R)
+            xl = derived(c, x, ELL)
+            for y in c.elements():
+                expect_l = max(xr, y) if x <= y else min(xr, y)
+                expect_r = max(xl, y) if x <= y else min(xl, y)
+                checked += 2
+                if residual(c, x, y, LEFT) != expect_l:
+                    failures.append(f"left residual {signature_hex(c)} x={x} y={y}")
+                if residual(c, x, y, RIGHT) != expect_r:
+                    failures.append(f"right residual {signature_hex(c)} x={x} y={y}")
+    return checked, failures
+
+
+def suite_closed_forms(max_size: int, seed: int, jobs: int):
+    return _merge(_pmap(_closed_forms_worker, list(range(1, max_size + 1)), jobs))
+
+
+def _decomposition_worker(n: int):
+    checked, failures = 0, []
+    sigs = set()
+    chains = list(enumerate_chains(n, filters=("commutative", "idempotent")))
+    for c in chains:
+        sig = decompose(c)
+        rc, _ = recompose(sig)
+        checked += 1
+        if not iso_equal(rc, c):
+            failures.append(f"round trip failed for {signature_hex(c)}")
+        if sig.size != n:
+            failures.append(f"size bookkeeping failed for {signature_hex(c)}")
+        sigs.add(sig)
+    if len(sigs) != len(chains):
+        failures.append(f"signatures not unique at size {n}")
+    if len(chains) != count_chains(n):
+        failures.append(f"count mismatch at size {n}")
+    return checked, failures
+
+
+def suite_decomposition(max_size: int, seed: int, jobs: int):
+    return _merge(_pmap(_decomposition_worker, list(range(1, max_size + 1)), jobs))
+
+
+def suite_skeleton_contraction(max_size: int, seed: int, jobs: int):
+    checked, failures = 0, []
+    hi = max(0, max_size - 3)
+    for m in range(0, hi + 1):
+        for n in range(0, hi + 1):
+            c = com(m, n)
+            lo = c.index_of_label("b0")
+            cong = congruence_from_kernel(c, range(lo, c.size))
+            q, _ = quotient(c, cong)
+            checked += 1
+            if not iso_equal(q, go(m)):
+                failures.append(f"contraction of com({m},{n}) is not go({m})")
+    return checked, failures
+
+
+def _congruence_worker(n: int):
+    checked, failures = 0, []
+    for c in enumerate_chains(n, filters=("idempotent",)):
+        checked += 1
+        if {g.blocks for g in congruences(c)} != set(brute_congruence_blocks(c)):
+            failures.append(f"congruences differ from brute force on {signature_hex(c)}")
+    return checked, failures
+
+
+def suite_congruences(max_size: int, seed: int, jobs: int):
+    return _merge(_pmap(_congruence_worker, list(range(1, max_size + 1)), jobs))
+
+
+def suite_star_involution(max_size: int, seed: int, jobs: int):
+    checked, failures = 0, []
+    rnd = random.Random(seed)
+    for _ in range(1000):
+        bits = tuple(rnd.randint(0, 1) for _ in range(rnd.randint(1, 8)))
+        spec = parse_word(f"per:{''.join(map(str, bits))}@{rnd.randint(-3, 3)}")
+        kind = rnd.choice(("a", "b"))
+        el = parse_element(f"{kind}:{rnd.randint(-10**6, 10**6)}")
+        checked += 1
+        if as_unary(spec, as_unary(spec, el, STAR), STAR) != el:
+            failures.append(f"star not involutive at {el.text()} over {spec.text()}")
+    for _ in range(100):
+        bits = tuple(rnd.randint(0, 1) for _ in range(rnd.randint(1, 6)))
+        spec = parse_word(f"per:{''.join(map(str, bits))}@0")
+        for i in range(-6, 7):
+            for kind in ("a", "b"):
+                el = parse_element(f"{kind}:{i}")
+                ell = zchain.window_residual_oracle(spec, el, zchain.UNIT, RIGHT)
+                rr = zchain.window_residual_oracle(spec, el, zchain.UNIT, LEFT)
+                checked += 3
+                if as_unary(spec, el, ELL) != ell:
+                    failures.append(f"ell mismatch at {el.text()} over {spec.text()}")
+                if as_unary(spec, el, R) != rr:
+                    failures.append(f"r mismatch at {el.text()} over {spec.text()}")
+                star = min((ell, rr), key=zchain._order_key)
+                if as_unary(spec, el, STAR) != star:
+                    failures.append(f"star mismatch at {el.text()} over {spec.text()}")
+    return checked, failures
+
+
+def _counting_worker(n: int):
+    got = sum(1 for _ in enumerate_chains(n, filters=("commutative", "idempotent")))
+    want = count_chains(n)
+    if got != want:
+        return 1, [f"size {n}: enumerated {got}, signature count {want}"]
+    return 1, []
+
+
+def suite_counting(max_size: int, seed: int, jobs: int):
+    return _merge(_pmap(_counting_worker, list(range(1, max_size + 1)), jobs))
+
+
+def suite_component_amalgams(max_size: int, seed: int, jobs: int):
+    checked, failures = 0, []
+    pool = [go(q) for q in range(0, max_size)]
+    pool += [
+        com(m, n)
+        for m in range(0, max_size)
+        for n in range(0, max_size)
+        if m + n + 3 <= max_size
+    ]
+    for a in pool:
+        for bb in pool:
+            embs_b = enumerate_embeddings(a, bb)
+            if not embs_b:
+                continue
+            for cc in pool:
+                for ib in embs_b:
+                    for ic in enumerate_embeddings(a, cc):
+                        span = Span(a, bb, cc, ib, ic)
+                        try:
+                            res = amalgamate_components(span)
+                        except ResichainError:
+                            continue
+                        checked += 1
+                        if not verify_amalgam(span, res):
+                            failures.append(f"bad certificate for span over {a!r}")
+                        if res.D.size > bb.size + cc.size - a.size:
+                            failures.append(f"oversized amalgam for span over {a!r}")
+    return checked, failures
+
+
+SUITES = {
+    "lemma:embedding-criterion": suite_embedding_criterion,
+    "lemma:residual-closed-forms": suite_closed_forms,
+    "lemma:decomposition-unique": suite_decomposition,
+    "lemma:skeleton-contraction": suite_skeleton_contraction,
+    "lemma:congruence-correspondence": suite_congruences,
+    "lemma:star-involution": suite_star_involution,
+    "lemma:counting": suite_counting,
+    "lemma:component-amalgams": suite_component_amalgams,
+}
+
+
+def _pmap(fn, items, jobs):
+    if jobs and jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _merge(results):
+    checked = sum(r[0] for r in results)
+    failures = [f for r in results for f in r[1]]
+    return checked, failures

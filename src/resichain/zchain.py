@@ -202,22 +202,3 @@ def index_range(elements: Iterable[ASElement]) -> Optional[Tuple[int, int]]:
     if not indices:
         return None
     return (min(indices), max(indices))
-
-
-@dataclass(frozen=True)
-class ASAlgebra:
-    """The symbolic chain for one membership word."""
-
-    spec: SetSpec
-
-    def compare(self, x: ASElement, y: ASElement) -> int:
-        return as_compare(x, y)
-
-    def mult(self, x: ASElement, y: ASElement) -> ASElement:
-        return as_mult(self.spec, x, y)
-
-    def unary(self, x: ASElement, which: str) -> ASElement:
-        return as_unary(self.spec, x, which)
-
-    def residual(self, x: ASElement, y: ASElement, side: str) -> ASElement:
-        return as_residual(self.spec, x, y, side)

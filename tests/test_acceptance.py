@@ -61,8 +61,7 @@ from resichain.pointed import (
     seed_algebra,
 )
 from resichain.zchain import a, b
-
-from oracles import definitional_embedding, residual_tables
+from resichain.selfcheck import definitional_embedding, residual_tables
 
 
 def test_acceptance_01_sixty_classes_distinct_by_small_probes():

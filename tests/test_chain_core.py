@@ -27,8 +27,7 @@ from resichain import (
     validate,
 )
 from resichain.constructors import com, go
-
-from oracles import brute_residual, brute_star
+from resichain.selfcheck import brute_residual, brute_star
 
 
 def lab(chain, name):

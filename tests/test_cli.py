@@ -1,17 +1,22 @@
 """Command line behavior: output shapes, exit codes, piping, and
-determinism. Runs in-process through main(argv); one test drives the
-real interpreter to prove the module entry point works."""
+determinism. Runs in-process through main(argv); the pipe test and the
+malformed-input contract drive the real interpreter, which is where a
+traceback would show."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from resichain import canonical_signature, chain_from_json
+import resichain
+from resichain import amalgamation, canonical_signature, chain_from_json
 from resichain.cli import main
 from resichain.constructors import com, go, nested_sum
 from resichain.pointed import PointedChain
+from resichain.selfcheck import SUITES
 
 
 def run(capsys, *argv):
@@ -167,6 +172,49 @@ def test_enumeration_cap_comes_from_the_environment(capsys, monkeypatch):
     assert got["error"] == "SizeTooLarge"
 
 
+# CHAIN, NO_UNIT and MISSING stand for paths the test makes
+CONTRACT_CASES = [
+    (["make", "go:x"], None, 2),
+    (["make", "com:1"], None, 2),
+    (["quotient", "--kernel", "e", "CHAIN"], None, 2),
+    (["as-op", "--set", "per:01", "mul", "a:0"], None, 2),
+    (["words", "leq", "per:01", "fin:{a}"], None, 2),
+    (["check", "NO_UNIT"], None, 1),
+    (["check", "-"], "not json", 1),
+    (["make", "go:2", "--jobs", "2"], None, 2),
+    (["enumerate", "0"], None, 2),
+    (["as-op", "--set", "per:01", "reach", "a:0", "--depth", "-1"], None, 2),
+    (["ppartition", "MISSING"], None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,want", CONTRACT_CASES, ids=[" ".join(c[0]) for c in CONTRACT_CASES]
+)
+def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
+    data = com(1, 1).to_json()
+    no_unit = tmp_path / "no_unit.json"
+    no_unit.write_text(json.dumps({k: v for k, v in data.items() if k != "unit"}))
+    files = {
+        "CHAIN": chain_file(tmp_path, com(1, 1)),
+        "NO_UNIT": str(no_unit),
+        "MISSING": str(tmp_path / "missing"),
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(resichain.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "resichain.cli", *[files.get(a, a) for a in argv]],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == want
+    assert "Traceback" not in proc.stderr
+    if want == 1:
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "MalformedInput"
+
+
 # --- amalgamation and classification ---------------------------------------
 
 
@@ -222,6 +270,19 @@ def test_amalgamate_constructive_zipper(capsys, tmp_path):
     )
 
 
+def test_default_amalgam_pool_respects_the_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("RESICHAIN_MAX_SIZE", "3")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated chains before checking the cap")
+
+    monkeypatch.setattr(amalgamation, "enumerate_chains", refuse)
+    span = {"A": go(0).to_json(), "B": go(1).to_json(), "C": go(1).to_json(), "iB": [1], "iC": [1]}
+    code, got = run_json(capsys, "amalgamate", span_file(tmp_path, span))
+    assert code == 1
+    assert got["error"] == "SizeTooLarge"
+
+
 def test_amalgamate_rejects_a_broken_span(capsys, tmp_path):
     bad = crossing_span_dict()
     bad["iB"] = [2, 2]
@@ -251,6 +312,7 @@ def test_classify_reports_no_ap_with_audit_and_witness(capsys, tmp_path):
     assert got["class"] is None and got["ap"] is False
     assert any(v["rule"] == "i" for v in got["audit"])
     assert got["witness"]["iB"] == [0, 2] and got["witness"]["iC"] == [1, 2]
+    assert got["witness_complete"] is True
 
 
 def test_classify_accepts_a_wrapped_generators_object(capsys, tmp_path):
@@ -358,6 +420,20 @@ def test_verify_counting_suite_passes(capsys):
     assert got["suite"] == "lemma:counting"
     assert got["failed"] == 0 and got["failures"] == []
     assert got["passed"] == got["checked"] > 0
+
+
+VERIFY_CASES = [(suite, "4", 0) for suite in sorted(SUITES)] + [
+    ("lemma:counting", "0", 1),
+    ("lemma:embedding-criterion", "-3", 1),
+]
+
+
+@pytest.mark.parametrize("suite,max_size,want", VERIFY_CASES)
+def test_verify_passes_only_a_suite_that_checked_something(capsys, suite, max_size, want):
+    code, got = run_json(capsys, "verify", suite, "--max-size", max_size)
+    assert code == want
+    assert got["suite"] == suite and got["failed"] == 0
+    assert (got["checked"] > 0) == (want == 0)
 
 
 def test_verify_rejects_unknown_suites(capsys):

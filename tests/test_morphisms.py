@@ -26,8 +26,7 @@ from resichain import (
     subcover_injectivity,
 )
 from resichain.constructors import com, go, nested_sum
-
-from oracles import (
+from resichain.selfcheck import (
     brute_congruence_blocks,
     definitional_embedding,
     definitional_homomorphism,

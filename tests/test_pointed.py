@@ -22,8 +22,7 @@ from resichain import (
     seed_algebra,
 )
 from resichain.constructors import com, go, nested_sum
-
-from oracles import brute_star
+from resichain.selfcheck import brute_star
 
 
 def pointed_iso(p, q):
