@@ -6,14 +6,21 @@ table. Meet and join are min and max. On a finite chain both residuals exist
 exactly when multiplication is monotone in each argument and the bottom
 element is absorbing, so validation checks unit, associativity, monotonicity
 and bottom-absorption and nothing else.
+
+A chain is compiled once. Its canonical signature and its hash are computed
+when it is built; its residual tables, unary tables and predicates on first
+use, and then kept on the chain (``FiniteChain.tables``). validate() interns
+chains on (size, unit, mult, labels): the same data returns the same object
+without checking it again, and a table already validated under other labels
+is not checked again either. Equality and hashing read the table only, so
+label variants of one table are equal and hash alike.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidChainError, SizeTooLarge, Violation
 
@@ -42,14 +49,52 @@ def enumeration_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
+def _encode_signature(size: int, unit: int, mult: tuple) -> bytes:
+    flat = [size, unit]
+    for row in mult:
+        flat.extend(row)
+    if size < 256:
+        return b"\x01" + bytes(flat)
+    return b"\x04" + b"".join(v.to_bytes(4, "big") for v in flat)
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteChain:
-    """Immutable residuated chain. Build through validate() or a constructor."""
+    """Immutable residuated chain. Build through validate() or a constructor.
+
+    Two chains are equal when their tables are; labels do not count.
+    """
 
     size: int
     unit: int
     mult: tuple
-    labels: Optional[tuple] = field(default=None, compare=False)
+    labels: Optional[tuple] = None
+    signature: bytes = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+    _tables: Optional["ChainTables"] = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signature", _encode_signature(self.size, self.unit, self.mult))
+        object.__setattr__(self, "_hash", hash((self.size, self.unit, self.mult)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FiniteChain):
+            return NotImplemented
+        return self.signature == other.signature
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def tables(self) -> "ChainTables":
+        """Residual tables, unary tables and predicates, built on first use."""
+        tables = self._tables
+        if tables is None:
+            tables = _build_tables(self)
+            object.__setattr__(self, "_tables", tables)
+        return tables
 
     def mul(self, x: int, y: int) -> int:
         return self.mult[x][y]
@@ -97,6 +142,8 @@ class FiniteChain:
 
 
 def chain_from_json(data: dict) -> FiniteChain:
+    if not isinstance(data, dict):
+        raise TypeError(f"a chain is a JSON object, not {type(data).__name__}")
     labels = data.get("labels")
     return validate(
         data["size"],
@@ -106,6 +153,10 @@ def chain_from_json(data: dict) -> FiniteChain:
     )
 
 
+# (size, unit, mult) of every validated table -> {labels: chain}
+_INTERNED: dict = {}
+
+
 def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
              labels: Optional[Sequence[str]] = None) -> FiniteChain:
     """Check the four chain invariants; raise InvalidChainError listing all failures.
@@ -113,7 +164,11 @@ def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
     Unit law and associativity report as NotAMonoid, order-preservation as
     NotMonotone, bottom-absorption as NotResiduated (it is exactly what
     residuation needs on top of the rest), a bad unit index as UnitOutOfRange.
+    Valid chains are interned: equal data gives back the same object, and
+    label variants of one table share its rows.
     """
+    if not isinstance(size, int) or not isinstance(unit, int):
+        raise TypeError("size and unit must be integers")
     if size < 1:
         raise ValueError("size must be at least 1")
     rows = tuple(tuple(int(v) for v in row) for row in mult)
@@ -128,6 +183,19 @@ def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
         if len(labels) != size:
             raise ValueError("labels must match size")
 
+    variants = _INTERNED.get((size, unit, rows))
+    if variants is None:
+        _check_invariants(size, unit, rows)
+        variants = _INTERNED[(size, unit, rows)] = {}
+    chain = variants.get(labels)
+    if chain is None:
+        if variants:
+            rows = next(iter(variants.values())).mult
+        chain = variants[labels] = FiniteChain(size, unit, rows, labels)
+    return chain
+
+
+def _check_invariants(size: int, unit: int, rows: tuple) -> None:
     violations = []
     if not 0 <= unit < size:
         violations.append(Violation("UnitOutOfRange", (unit,)))
@@ -179,74 +247,6 @@ def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
 
     if violations:
         raise InvalidChainError(violations)
-    return FiniteChain(size, unit, rows, labels)
-
-
-@lru_cache(maxsize=None)
-def _left_residual_table(chain: FiniteChain) -> tuple:
-    """lres[x][y] = x\\y = max{z : x*z <= y}."""
-    n = chain.size
-    mult = chain.mult
-    out = []
-    for x in range(n):
-        row = []
-        mx = mult[x]
-        for y in range(n):
-            for z in range(n - 1, -1, -1):
-                if mx[z] <= y:
-                    row.append(z)
-                    break
-        out.append(tuple(row))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _right_residual_table(chain: FiniteChain) -> tuple:
-    """rres[x][y] = y/x = max{z : z*x <= y}."""
-    n = chain.size
-    mult = chain.mult
-    out = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            for z in range(n - 1, -1, -1):
-                if mult[z][x] <= y:
-                    row.append(z)
-                    break
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def residual(chain: FiniteChain, x: int, y: int, side: str) -> int:
-    """left: x\\y. right: y/x. Always defined on a valid chain."""
-    if side == LEFT:
-        return _left_residual_table(chain)[x][y]
-    if side == RIGHT:
-        return _right_residual_table(chain)[x][y]
-    raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
-
-
-@lru_cache(maxsize=None)
-def _unary_tables(chain: FiniteChain) -> tuple:
-    """(ell, r, star) with ell(x) = e/x, r(x) = x\\e, star their meet."""
-    e = chain.unit
-    lres = _left_residual_table(chain)
-    rres = _right_residual_table(chain)
-    ell = tuple(rres[x][e] for x in chain.elements())
-    r = tuple(lres[x][e] for x in chain.elements())
-    star = tuple(min(a, b) for a, b in zip(ell, r))
-    return ell, r, star
-
-
-def derived(chain: FiniteChain, x: int, which: str) -> int:
-    ell, r, star = _unary_tables(chain)
-    if which == ELL:
-        return ell[x]
-    if which == R:
-        return r[x]
-    if which == STAR:
-        return star[x]
-    raise ValueError(f"which must be one of {ELL!r}, {R!r}, {STAR!r}")
 
 
 @dataclass(frozen=True)
@@ -265,17 +265,73 @@ class ChainPredicates:
         }
 
 
-@lru_cache(maxsize=None)
-def predicates(chain: FiniteChain) -> ChainPredicates:
+class ChainTables(NamedTuple):
+    """What a chain derives from its table, built once per chain.
+
+    lres[x][y] = x\\y = max{z : x*z <= y}; rres[x][y] = y/x = max{z : z*x <= y};
+    ell(x) = e/x, r(x) = x\\e, star their meet.
+    """
+
+    lres: tuple
+    rres: tuple
+    ell: tuple
+    r: tuple
+    star: tuple
+    predicates: ChainPredicates
+
+
+def _build_tables(chain: FiniteChain) -> ChainTables:
     n = chain.size
     mult = chain.mult
-    commutative = all(mult[x][y] == mult[y][x] for x in range(n) for y in range(x + 1, n))
-    idempotent = all(mult[x][x] == x for x in range(n))
-    ell, r, star = _unary_tables(chain)
-    star_involutive = all(star[star[x]] == x for x in range(n))
+    cols = tuple(zip(*mult))
+    lres = tuple(_residual_rows(mult, n))
+    rres = tuple(_residual_rows(cols, n))
     e = chain.unit
-    admissible = all(ell[x] != e and r[x] != e for x in range(n) if x != e)
-    return ChainPredicates(commutative, idempotent, star_involutive, admissible)
+    ell = tuple(row[e] for row in rres)
+    r = tuple(row[e] for row in lres)
+    star = tuple(min(a, b) for a, b in zip(ell, r))
+    preds = ChainPredicates(
+        commutative=mult == cols,
+        idempotent=all(mult[x][x] == x for x in range(n)),
+        star_involutive=all(star[star[x]] == x for x in range(n)),
+        admissible=all(ell[x] != e and r[x] != e for x in range(n) if x != e),
+    )
+    return ChainTables(lres, rres, ell, r, star, preds)
+
+
+def _residual_rows(lines: tuple, n: int):
+    """For each monotone line, the largest z with line[z] <= y, per y."""
+    for line in lines:
+        row = []
+        z = 0
+        for y in range(n):
+            while z + 1 < n and line[z + 1] <= y:
+                z += 1
+            row.append(z)
+        yield tuple(row)
+
+
+def residual(chain: FiniteChain, x: int, y: int, side: str) -> int:
+    """left: x\\y. right: y/x. Always defined on a valid chain."""
+    if side == LEFT:
+        return chain.tables.lres[x][y]
+    if side == RIGHT:
+        return chain.tables.rres[x][y]
+    raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
+
+
+def derived(chain: FiniteChain, x: int, which: str) -> int:
+    if which == ELL:
+        return chain.tables.ell[x]
+    if which == R:
+        return chain.tables.r[x]
+    if which == STAR:
+        return chain.tables.star[x]
+    raise ValueError(f"which must be one of {ELL!r}, {R!r}, {STAR!r}")
+
+
+def predicates(chain: FiniteChain) -> ChainPredicates:
+    return chain.tables.predicates
 
 
 def subalgebra_generated(chain: FiniteChain, seed: Iterable[int]) -> frozenset:
@@ -290,8 +346,9 @@ def subalgebra_generated(chain: FiniteChain, seed: Iterable[int]) -> frozenset:
         if not 0 <= x < chain.size:
             raise ValueError(f"seed element {x} out of range")
     elems.add(chain.unit)
-    if predicates(chain).idempotent:
-        ell, r, _ = _unary_tables(chain)
+    tables = chain.tables
+    if tables.predicates.idempotent:
+        ell, r = tables.ell, tables.r
         frontier = list(elems)
         while frontier:
             x = frontier.pop()
@@ -300,9 +357,7 @@ def subalgebra_generated(chain: FiniteChain, seed: Iterable[int]) -> frozenset:
                     elems.add(nxt)
                     frontier.append(nxt)
     else:
-        mult = chain.mult
-        lres = _left_residual_table(chain)
-        rres = _right_residual_table(chain)
+        mult, lres, rres = chain.mult, tables.lres, tables.rres
         changed = True
         while changed:
             changed = False
@@ -338,9 +393,7 @@ def is_subuniverse(chain: FiniteChain, subset: Iterable[int]) -> bool:
     s = set(subset)
     if chain.unit not in s:
         return False
-    mult = chain.mult
-    lres = _left_residual_table(chain)
-    rres = _right_residual_table(chain)
+    mult, lres, rres = chain.mult, chain.tables.lres, chain.tables.rres
     for x in s:
         for y in s:
             if mult[x][y] not in s or lres[x][y] not in s or rres[x][y] not in s:
@@ -348,20 +401,13 @@ def is_subuniverse(chain: FiniteChain, subset: Iterable[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def canonical_signature(chain: FiniteChain) -> bytes:
     """Injective encoding of (size, unit, table).
 
     Any order isomorphism between chains on 0..n-1 is the identity, so equal
     signatures mean equal algebras and distinct signatures mean no isomorphism.
     """
-    n = chain.size
-    flat = [n, chain.unit]
-    for row in chain.mult:
-        flat.extend(row)
-    if n < 256:
-        return b"\x01" + bytes(flat)
-    return b"\x04" + b"".join(v.to_bytes(4, "big") for v in flat)
+    return chain.signature
 
 
 def signature_hex(chain: FiniteChain) -> str:
@@ -369,10 +415,10 @@ def signature_hex(chain: FiniteChain) -> str:
 
 
 def iso_equal(a: FiniteChain, b: FiniteChain) -> bool:
-    return canonical_signature(a) == canonical_signature(b)
+    return a.signature == b.signature
 
 
-TRIVIAL = FiniteChain(1, 0, ((0,),), ("e",))
+TRIVIAL = validate(1, 0, ((0,),), labels=("e",))
 
 
 def enumerate_chains(n: int, filters: Iterable[str] = (), max_size: Optional[int] = None):

@@ -13,7 +13,8 @@ a concrete span with no one-sided completion inside the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 from .chain import (
@@ -25,7 +26,7 @@ from .chain import (
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
 from .morphisms import congruences, enumerate_embeddings, quotient
-from .amalgamation import BoundExhausted, Refuted, Span, find_amalgam
+from .amalgamation import CandidatePool, Refuted, Span, find_amalgam
 
 OMEGA = float("inf")
 PARAM_VALUES = (0, 1, OMEGA)
@@ -270,14 +271,12 @@ def class_signatures(cls: CanonicalClass, max_size: Optional[int] = None) -> set
     return out
 
 
-def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> list:
-    """Member chains (canonical constructions), sorted by size."""
+def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> CandidatePool:
+    """Member chains (canonical constructions), sorted by size, then by
+    decomposition signature. The list also carries their canonical
+    (size, signature) order for find_amalgam."""
     sigs = sorted(class_signatures(cls, max_size), key=lambda s: (s.size, s.pairs, s.p))
-    out = []
-    for sig in sigs:
-        chain, _ = recompose(sig)
-        out.append(chain)
-    return out
+    return CandidatePool(recompose(sig)[0] for sig in sigs)
 
 
 @dataclass(frozen=True)
@@ -408,6 +407,16 @@ _RULE_TEXT = {
 }
 
 
+@lru_cache(maxsize=None)
+def _signature(pairs: tuple, q: int) -> DecompositionSignature:
+    return DecompositionSignature(pairs, q)
+
+
+@lru_cache(maxsize=None)
+def _violation(rule: str, premises: tuple, missing: DecompositionSignature) -> "RuleViolation":
+    return RuleViolation(rule, premises, missing)
+
+
 @dataclass(frozen=True)
 class RuleViolation:
     rule: str
@@ -425,20 +434,21 @@ class RuleViolation:
 
 def closure_rule_violations(K: ChainClass, size_cap: int = 9) -> tuple:
     """Audit of the seven closure consequences of amalgamability, checked
-    on every instantiation whose conclusion stays within size_cap."""
+    on every instantiation whose conclusion stays within size_cap. Equal
+    signatures and equal violations come back as one shared object."""
     sigs = K.signatures()
     found = []
     seen = set()
 
     def require(rule: str, premises: tuple, pairs: tuple, q: int) -> None:
-        cand = DecompositionSignature(pairs, q)
+        cand = _signature(pairs, q)
         if cand.size > size_cap or cand in sigs:
             return
         key = (rule, cand)
         if key in seen:
             return
         seen.add(key)
-        found.append(RuleViolation(rule, premises, cand))
+        found.append(_violation(rule, premises, cand))
 
     def texts(*ss: DecompositionSignature) -> tuple:
         return tuple(s.text() for s in ss)
@@ -519,7 +529,7 @@ class NoAP:
 def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]]:
     """First span over K (canonical order) with no one-sided completion
     in K; the search per span is complete because K lists every member."""
-    members = list(K.members)
+    members = CandidatePool(K.members)
     sig_set = {canonical_signature(c) for c in members}
     bound = max(c.size for c in members)
 

@@ -72,7 +72,7 @@ def _decode(from_json, data):
         return from_json(data)
     except KeyError as exc:
         raise MalformedInput(f"missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise MalformedInput(str(exc)) from None
 
 
@@ -303,9 +303,12 @@ def cmd_amalgamate(args) -> int:
 
 
 def _load_generators(path):
+    """A list of chains, or an object with a "generators" list."""
     data = _read_json(path)
     if isinstance(data, dict):
-        data = data.get("generators", [])
+        data = data.get("generators")
+    if not isinstance(data, list):
+        raise MalformedInput('expected a list of chains or {"generators": [...]}')
     return [_decode(chain_from_json, d) for d in data]
 
 

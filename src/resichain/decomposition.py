@@ -10,7 +10,7 @@ off the component parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .chain import STAR, FiniteChain, derived, predicates
 from .constructors import com, go, nested_sum
@@ -36,6 +36,10 @@ class DecompositionSignature:
         return sum(m + n + 2 for m, n in self.pairs) + self.p + 1
 
     def text(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         parts = [f"C({m},{n})" for m, n in self.pairs]
         if self.p > 0 or not parts:
             parts.append(f"Go_{self.p}")

@@ -15,23 +15,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .chain import (
-    ELL,
-    LEFT,
-    R,
-    RIGHT,
-    FiniteChain,
-    derived,
-    predicates,
-    residual,
-    signature_hex,
-    validate,
-)
+from .chain import FiniteChain, predicates, signature_hex, validate
 from .constructors import NestedSumDescriptor, nested_sum
 from .errors import ComponentNotEmbedding, NoSubcover, TopNotPreserved
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainMap:
     """A function between two chains, recorded pointwise."""
 
@@ -85,13 +74,14 @@ def is_homomorphism(h: ChainMap) -> bool:
         return False
     if not h.is_order_preserving():
         return False
+    ta, tb = a.tables, b.tables
     for x in range(a.size):
         for y in range(a.size):
             if f[a.mult[x][y]] != b.mult[f[x]][f[y]]:
                 return False
-            if f[residual(a, x, y, LEFT)] != residual(b, f[x], f[y], LEFT):
+            if f[ta.lres[x][y]] != tb.lres[f[x]][f[y]]:
                 return False
-            if f[residual(a, x, y, RIGHT)] != residual(b, f[x], f[y], RIGHT):
+            if f[ta.rres[x][y]] != tb.rres[f[x]][f[y]]:
                 return False
     return True
 
@@ -104,11 +94,12 @@ def is_embedding(h: ChainMap) -> bool:
     a, b, f = h.domain, h.codomain, h.image
     if f[a.unit] != b.unit:
         return False
-    if predicates(a).idempotent and predicates(b).idempotent:
+    ta, tb = a.tables, b.tables
+    if ta.predicates.idempotent and tb.predicates.idempotent:
         for x in range(a.size):
-            if f[derived(a, x, ELL)] != derived(b, f[x], ELL):
+            if f[ta.ell[x]] != tb.ell[f[x]]:
                 return False
-            if f[derived(a, x, R)] != derived(b, f[x], R):
+            if f[ta.r[x]] != tb.r[f[x]]:
                 return False
         return True
     return is_homomorphism(h)
@@ -128,14 +119,10 @@ def _embeddings_images(
     if forced.get(a.unit, b.unit) != b.unit:
         return
     forced[a.unit] = b.unit
-    both_idem = predicates(a).idempotent and predicates(b).idempotent
+    ta, tb = a.tables, b.tables
+    both_idem = ta.predicates.idempotent and tb.predicates.idempotent
     images: list = [None] * a.size
-    if both_idem:
-        # local tables keep the backtracking loop free of cache lookups
-        ell_a = tuple(derived(a, y, ELL) for y in range(a.size))
-        r_a = tuple(derived(a, y, R) for y in range(a.size))
-        ell_b = tuple(derived(b, v, ELL) for v in range(b.size))
-        r_b = tuple(derived(b, v, R) for v in range(b.size))
+    ell_a, r_a, ell_b, r_b = ta.ell, ta.r, tb.ell, tb.r
 
     def closed_ok() -> bool:
         # check every derived-op constraint whose arguments are all placed
@@ -175,16 +162,21 @@ def _embeddings_images(
     yield from extend(0, 0)
 
 
+# one shared tuple per distinct image: the memos repeat a few thousand of them
+_IMAGES: dict = {}
+
+
 @lru_cache(maxsize=None)
-def _embedding_images_all(a: FiniteChain, b: FiniteChain) -> tuple:
-    return tuple(_embeddings_images(a, b))
+def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
+    """Image tuples of every embedding a -> b, lexicographic; memoized."""
+    return tuple(_IMAGES.setdefault(f, f) for f in _embeddings_images(a, b))
 
 
 def enumerate_embeddings(
     a: FiniteChain, b: FiniteChain, forced: Optional[dict] = None
 ) -> list:
     if forced is None:
-        return [ChainMap(a, b, f) for f in _embedding_images_all(a, b)]
+        return [ChainMap(a, b, f) for f in embedding_images(a, b)]
     return [ChainMap(a, b, f) for f in _embeddings_images(a, b, forced)]
 
 
@@ -220,21 +212,23 @@ def _interval_is_normal_subuniverse(chain: FiniteChain, lo: int, hi: int) -> boo
     """Whether [lo, hi] carries a subuniverse closed under the conjugation
     bounds; these unit classes are exactly the congruence kernels."""
     u = chain.unit
+    mult, tables = chain.mult, chain.tables
+    lres, rres = tables.lres, tables.rres
     members = range(lo, hi + 1)
     for x in members:
         for y in members:
-            if not lo <= chain.mult[x][y] <= hi:
+            if not lo <= mult[x][y] <= hi:
                 return False
-            if not lo <= residual(chain, x, y, LEFT) <= hi:
+            if not lo <= lres[x][y] <= hi:
                 return False
-            if not lo <= residual(chain, x, y, RIGHT) <= hi:
+            if not lo <= rres[x][y] <= hi:
                 return False
-    if not predicates(chain).commutative:
+    if not tables.predicates.commutative:
         # x in class, a arbitrary: a\(xa) ∧ e and (ax)/a ∧ e stay in class
         for x in members:
             for a in range(chain.size):
-                lam = min(residual(chain, a, chain.mult[x][a], LEFT), u)
-                rho = min(residual(chain, a, chain.mult[a][x], RIGHT), u)
+                lam = min(lres[a][mult[x][a]], u)
+                rho = min(rres[a][mult[a][x]], u)
                 if not (lo <= lam <= hi and lo <= rho <= hi):
                     return False
     return True
@@ -244,9 +238,10 @@ def _blocks_from_kernel(chain: FiniteChain, lo: int, hi: int) -> tuple:
     """Partition induced by the kernel interval [lo, hi]: x ~ y whenever
     x\\y ∧ y\\x ∧ e lands in the kernel."""
     u = chain.unit
+    lres = chain.tables.lres
 
     def related(x: int, y: int) -> bool:
-        w = min(residual(chain, x, y, LEFT), residual(chain, y, x, LEFT), u)
+        w = min(lres[x][y], lres[y][x], u)
         return lo <= w <= hi
 
     blocks = []
@@ -341,19 +336,19 @@ def kernel_of(h: ChainMap) -> Congruence:
 
 
 @lru_cache(maxsize=None)
-def _homomorphism_images(a: FiniteChain, b: FiniteChain) -> tuple:
+def homomorphism_images(a: FiniteChain, b: FiniteChain) -> tuple:
+    """Image tuples of every homomorphism a -> b, sorted; memoized."""
     out = []
     for cong in congruences(a):
         q, proj = quotient(a, cong)
-        for emb in enumerate_embeddings(q, b):
-            out.append(emb.compose(proj).image)
-    return tuple(sorted(out))
+        out.extend(tuple(f[v] for v in proj.image) for f in embedding_images(q, b))
+    return tuple(_IMAGES.setdefault(f, f) for f in sorted(out))
 
 
 def enumerate_homomorphisms(a: FiniteChain, b: FiniteChain) -> list:
     """Every homomorphism factors as quotient projection then embedding,
     so enumeration walks (congruence, embedding-of-quotient) pairs."""
-    return [ChainMap(a, b, f) for f in _homomorphism_images(a, b)]
+    return [ChainMap(a, b, f) for f in homomorphism_images(a, b)]
 
 
 def subcover_injectivity(h: ChainMap) -> bool:

@@ -1,6 +1,8 @@
 """Spans, exhaustive amalgam search, constructive amalgamators, and
 nested-sum span merging."""
 
+import random
+
 import pytest
 
 from resichain import (
@@ -8,6 +10,7 @@ from resichain import (
     AmalgamResult,
     BoundExhausted,
     ChainMap,
+    FiniteChain,
     InvalidSpan,
     Refuted,
     ShapeMismatch,
@@ -27,7 +30,9 @@ from resichain import (
     span_from_json,
     verify_amalgam,
 )
+from resichain.classification import all_sixty, class_members, hs_closure, parse_class
 from resichain.constructors import com, go, nested_sum
+from resichain.selfcheck import reference_find_amalgam
 
 
 def inclusion(a, b, image):
@@ -338,3 +343,124 @@ def test_verify_rejects_a_commuting_square_violation():
     )
     assert not verify_amalgam(span, skewed)
     assert verify_amalgam(span, res)
+
+
+# --- the search against the plain reference scan -------------------------
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, AmalgamResult):
+        assert canonical_signature(got.D) == canonical_signature(want.D)
+        assert got.to_json() == want.to_json()
+    else:
+        assert got == want
+
+
+def spans_over(members):
+    """Every span over a member list, in the order the gate walks them."""
+    for a in members:
+        for b in members:
+            legs_b = enumerate_embeddings(a, b)
+            if not legs_b:
+                continue
+            for c in members:
+                legs_c = enumerate_embeddings(a, c)
+                for i_b in legs_b:
+                    for i_c in legs_c:
+                        yield Span(a, b, c, i_b, i_c)
+
+
+def test_search_matches_the_reference_on_criterion_2_spans():
+    rng = random.Random(2)
+    compared = 0
+    for cls in all_sixty():
+        pool = class_members(cls, 12)
+        spans = list(spans_over(class_members(cls, 6)))
+        for span in rng.sample(spans, min(4, len(spans))):
+            bound = span.B.size + span.C.size
+            args = (span, lambda d: True, bound)
+            got = find_amalgam(*args, one_sided=True, candidates=pool)
+            want = reference_find_amalgam(*args, one_sided=True, candidates=pool)
+            assert_same_outcome(got, want)
+            compared += 1
+    assert compared == 4 * 60 - 3  # e:0 has one span
+
+
+def test_search_matches_the_reference_on_refuting_span_searches():
+    rng = random.Random(3)
+    chains = class_members(parse_class("inf:w,w,w"), 5)
+    refuted = 0
+    for _ in range(12):
+        K = hs_closure(rng.sample(chains, 2))
+        keys = {canonical_signature(c) for c in K.members}
+        bound = max(c.size for c in K.members)
+
+        def membership(d):
+            return canonical_signature(d) in keys
+
+        spans = list(spans_over(K.members))
+        for span in rng.sample(spans, min(10, len(spans))):
+            args = (span, membership, bound)
+            kwargs = dict(one_sided=True, complete=True, candidates=list(K.members))
+            got = find_amalgam(*args, **kwargs)
+            want = reference_find_amalgam(*args, **kwargs)
+            assert_same_outcome(got, want)
+            refuted += isinstance(want, Refuted)
+    assert refuted > 0
+
+
+def test_search_matches_the_reference_on_a_shuffled_pool_with_repeats():
+    rng = random.Random(4)
+    members = class_members(parse_class("inf:1,w,1"), 8)
+    relabeled = [
+        FiniteChain(c.size, c.unit, c.mult, tuple(f"r{x}" for x in c.elements()))
+        for c in members
+    ]
+    pool = list(members) + relabeled + list(members)
+    spans = list(spans_over(class_members(parse_class("inf:1,w,1"), 4)))
+    for _ in range(3):
+        rng.shuffle(pool)
+        for span in rng.sample(spans, 15):
+            args = (span, lambda d: True, span.B.size + span.C.size)
+            got = find_amalgam(*args, one_sided=True, candidates=pool)
+            want = reference_find_amalgam(*args, one_sided=True, candidates=pool)
+            assert_same_outcome(got, want)
+
+
+def test_search_matches_the_reference_when_membership_rejects_candidates():
+    rng = random.Random(5)
+    pool = class_members(parse_class("inf:w,w,w"), 7)
+    asked = []
+
+    def no_tail_of_one(d):
+        asked.append(d)
+        return decompose(d).p != 1
+
+    spans = list(spans_over(class_members(parse_class("inf:w,w,w"), 4)))
+    for span in rng.sample(spans, 40):
+        bound = max(span.B.size + span.C.size - 1, span.B.size, span.C.size)
+        for one_sided in (True, False):
+            kwargs = dict(one_sided=one_sided, complete=True, candidates=pool)
+            want = reference_find_amalgam(span, no_tail_of_one, bound, **kwargs)
+            asked.clear()
+            got = find_amalgam(span, no_tail_of_one, bound, **kwargs)
+            assert_same_outcome(got, want)
+            # membership is asked about each candidate reached, and no other
+            last = (bound, b"\xff")
+            if isinstance(got, AmalgamResult):
+                last = (got.D.size, got.D.signature)
+            reached = [d for d in pool.canonical if (d.size, d.signature) <= last]
+            assert asked == reached
+
+
+def test_two_sided_search_matches_the_reference():
+    rng = random.Random(6)
+    for text in ("inf:w,w,w", "fin:1,w,1", "e:w"):
+        pool = class_members(parse_class(text), 9)
+        spans = list(spans_over(class_members(parse_class(text), 5)))
+        for span in rng.sample(spans, min(20, len(spans))):
+            args = (span, lambda d: True, span.B.size + span.C.size)
+            got = find_amalgam(*args, candidates=pool)
+            want = reference_find_amalgam(*args, candidates=pool)
+            assert_same_outcome(got, want)

@@ -233,6 +233,50 @@ def test_relabeling_preserves_isomorphism():
     assert iso_equal(c, relabeled)
 
 
+# --- interning ------------------------------------------------------
+
+
+def test_identical_data_gives_back_the_same_chain():
+    c = com(1, 1)
+    assert com(1, 1) is c
+    assert validate(c.size, c.unit, [list(r) for r in c.mult], labels=c.labels) is c
+    assert chain_from_json(c.to_json()) is c
+    assert go(0) is TRIVIAL
+
+
+def test_other_labels_give_an_equal_but_distinct_chain():
+    c = com(1, 0)
+    renamed = validate(c.size, c.unit, c.mult, labels=("w", "x", "y", "z"))
+    unlabeled = validate(c.size, c.unit, c.mult)
+    for other in (renamed, unlabeled):
+        assert other is not c
+        assert other == c and hash(other) == hash(c)
+        assert canonical_signature(other) == canonical_signature(c)
+        assert other.mult is c.mult
+    assert renamed.labels == ("w", "x", "y", "z") and unlabeled.labels is None
+    assert validate(c.size, c.unit, c.mult, labels=("w", "x", "y", "z")) is renamed
+
+
+def test_the_hash_reads_the_table_only():
+    c = com(2, 1)
+    assert hash(c) == hash((c.size, c.unit, c.mult))
+    assert c != go(5) and c.size == go(5).size
+
+
+def test_an_invalid_table_raises_every_time():
+    broken = [[0, 0, 0], [0, 2, 1], [0, 1, 2]]
+    for _ in range(2):
+        with pytest.raises(InvalidChainError) as err:
+            validate(3, 2, broken)
+        assert "NotMonotone" in err.value.codes
+
+
+def test_derived_tables_are_built_once():
+    c = com(2, 2)
+    assert c.tables is c.tables
+    assert predicates(c) is c.tables.predicates
+
+
 # --- enumeration ------------------------------------------------------
 
 

@@ -172,7 +172,7 @@ def test_enumeration_cap_comes_from_the_environment(capsys, monkeypatch):
     assert got["error"] == "SizeTooLarge"
 
 
-# CHAIN, NO_UNIT and MISSING stand for paths the test makes
+# CHAIN, NO_UNIT, LIST, INFINITE and MISSING stand for paths the test makes
 CONTRACT_CASES = [
     (["make", "go:x"], None, 2),
     (["make", "com:1"], None, 2),
@@ -185,6 +185,10 @@ CONTRACT_CASES = [
     (["enumerate", "0"], None, 2),
     (["as-op", "--set", "per:01", "reach", "a:0", "--depth", "-1"], None, 2),
     (["ppartition", "MISSING"], None, 2),
+    (["classify", "CHAIN"], None, 1),
+    (["ap", "CHAIN"], None, 1),
+    (["check", "LIST"], None, 1),
+    (["check", "INFINITE"], None, 1),
 ]
 
 
@@ -195,9 +199,15 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
     data = com(1, 1).to_json()
     no_unit = tmp_path / "no_unit.json"
     no_unit.write_text(json.dumps({k: v for k, v in data.items() if k != "unit"}))
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([data]))
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text(json.dumps({**data, "mult": [[float("inf")] * 5] * 5}))
     files = {
         "CHAIN": chain_file(tmp_path, com(1, 1)),
         "NO_UNIT": str(no_unit),
+        "LIST": str(listed),
+        "INFINITE": str(infinite),
         "MISSING": str(tmp_path / "missing"),
     }
     env = dict(os.environ, PYTHONPATH=str(Path(resichain.__file__).parents[1]))
@@ -425,6 +435,8 @@ def test_verify_counting_suite_passes(capsys):
 VERIFY_CASES = [(suite, "4", 0) for suite in sorted(SUITES)] + [
     ("lemma:counting", "0", 1),
     ("lemma:embedding-criterion", "-3", 1),
+    ("lemma:skeleton-contraction", "2", 1),
+    ("lemma:star-involution", "0", 1),
 ]
 
 
