@@ -37,7 +37,7 @@ from .morphisms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Two embeddings i_B: A→B and i_C: A→C out of a shared chain."""
 
@@ -97,7 +97,7 @@ class AmalgamResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refuted:
     """No amalgam exists in the class; trustworthy only when the search
     covered every member (complete=True was asserted by the caller)."""

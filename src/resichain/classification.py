@@ -1,14 +1,14 @@
-"""The sixty canonical chain classes and the classifying decision tree.
+"""The sixty canonical chain classes, the classifier, and AP verdicts.
 
 A class is a family name plus parameters from {0, 1, ω}. Membership of a
 finite commutative idempotent chain is decided on its decomposition
-signature. Finite sets of chains closed under subalgebras and quotients
-(here: ChainClass) can be classified exactly: probe memberships drive a
-decision tree to a unique candidate, and the verdict is accepted only if
-the candidate's member set equals the input set. The amalgamation
-verdict follows: a set equal to one of the sixty has the property;
-anything else gets an audit of violated closure rules plus, when found,
-a concrete span with no one-sided completion inside the set.
+signature by sig_in_class alone; a class's signatures are those up to a
+size budget that pass it. A finite set of chains closed under subalgebras
+and quotients (here: ChainClass) is classified by looking its signature
+set up among the twelve finite classes. The amalgamation verdict follows:
+a set equal to one of the sixty has the property; anything else gets an
+audit of violated closure rules plus, when found, a concrete span with no
+one-sided completion inside the set.
 """
 
 from __future__ import annotations
@@ -210,16 +210,24 @@ def member_of(chain: FiniteChain, cls: CanonicalClass) -> bool:
     return sig_in_class(decompose(chain), cls)
 
 
-def _pair_sequences(budget: int, m, n) -> Iterable[tuple]:
-    """Sequences of (r, s) pairs with r ≤ m, s ≤ n and total weight
-    Σ(r+s+2) ≤ budget."""
+def _pair_sequences(budget: int) -> Iterable[tuple]:
+    """Sequences of (r, s) pairs with total weight Σ(r+s+2) ≤ budget."""
     yield ()
-    max_r = int(min(m, budget - 2)) if budget >= 2 else -1
-    for r in range(0, max_r + 1):
-        max_s = int(min(n, budget - 2 - r))
-        for s in range(0, max_s + 1):
-            for rest in _pair_sequences(budget - (r + s + 2), m, n):
+    for r in range(0, budget - 1):
+        for s in range(0, budget - 1 - r):
+            for rest in _pair_sequences(budget - (r + s + 2)):
                 yield ((r, s),) + rest
+
+
+@lru_cache(maxsize=None)
+def _all_signatures(budget: int) -> tuple:
+    """Every signature of size ≤ budget: the spare weight of each pair
+    sequence goes to the tail."""
+    out = []
+    for pairs in _pair_sequences(budget - 1):
+        spare = budget - 1 - sum(r + s + 2 for r, s in pairs)
+        out.extend(DecompositionSignature(pairs, q) for q in range(spare + 1))
+    return tuple(out)
 
 
 def class_signatures(cls: CanonicalClass, max_size: Optional[int] = None) -> set:
@@ -233,42 +241,7 @@ def class_signatures(cls: CanonicalClass, max_size: Optional[int] = None) -> set
         if max_size is None:
             raise ValueError("unbounded class needs a size cap")
         budget = max_size
-    out = set()
-    nonunit = budget - 1
-    if cls.family == E_FAMILY:
-        families = [((), cls.p)]
-    elif cls.family == FIN:
-        families = [((), cls.p), "single"]
-    elif cls.family == INF:
-        families = ["multi"]
-    elif cls.family == FIN_UNION_E:
-        families = [((), cls.p), "single0"]
-    else:
-        families = [((), cls.p), "multi0"]
-    for fam in families:
-        if fam == "single" or fam == "single0":
-            q_cap = cls.p if fam == "single" else 0
-            for r in range(0, int(min(cls.m, nonunit)) + 1):
-                for s in range(0, int(min(cls.n, nonunit)) + 1):
-                    weight = r + s + 2
-                    if weight > nonunit:
-                        continue
-                    q_hi = int(min(q_cap, nonunit - weight))
-                    for q in range(0, q_hi + 1):
-                        out.add(DecompositionSignature(((r, s),), q))
-        elif fam == "multi" or fam == "multi0":
-            m_cap = cls.m if fam == "multi" else 0
-            p_cap = cls.p if fam == "multi" else 0
-            for pairs in _pair_sequences(nonunit, m_cap, cls.n):
-                weight = sum(r + s + 2 for r, s in pairs)
-                q_hi = int(min(p_cap, nonunit - weight))
-                for q in range(0, q_hi + 1):
-                    out.add(DecompositionSignature(pairs, q))
-        else:
-            _, p_cap = fam
-            for q in range(0, int(min(p_cap, nonunit)) + 1):
-                out.add(DecompositionSignature((), q))
-    return out
+    return {sig for sig in _all_signatures(budget) if sig_in_class(sig, cls)}
 
 
 def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> CandidatePool:
@@ -279,7 +252,7 @@ def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> Candid
     return CandidatePool(recompose(sig)[0] for sig in sigs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainClass:
     """A finite set of chains, deduplicated up to isomorphism."""
 
@@ -298,36 +271,31 @@ class ChainClass:
     def signatures(self) -> frozenset:
         return frozenset(decompose(c) for c in self.members)
 
-    def contains(self, chain: FiniteChain) -> bool:
-        target = canonical_signature(chain)
-        return any(canonical_signature(c) == target for c in self.members)
-
     def is_hs_closed(self) -> bool:
-        if not self.members:
-            return False
         keys = {canonical_signature(c) for c in self.members}
-        for c in self.members:
-            for sub in _all_subuniverses(c):
-                if canonical_signature(restrict_to(c, sub)) not in keys:
-                    return False
-            for cong in congruences(c):
-                q, _ = quotient(c, cong)
-                if canonical_signature(q) not in keys:
-                    return False
-        return True
+        return bool(keys) and all(
+            canonical_signature(image) in keys for c in self.members for image in _hs_step(c)
+        )
 
 
-def _all_subuniverses(chain: FiniteChain) -> list:
-    """Every subuniverse, as a sorted element tuple. Scans subsets of the
+def _hs_step(chain: FiniteChain) -> tuple:
+    """Every subalgebra, then every quotient, of one chain (the chain
+    itself among them). Subalgebras come from a scan of the subsets of the
     non-unit elements; intended for desk-scale chains."""
+    return _hs_images(chain, chain.labels)
+
+
+@lru_cache(maxsize=4096)
+def _hs_images(chain: FiniteChain, labels) -> tuple:
+    # label variants compare equal; the key keeps their images apart
     others = [x for x in chain.elements() if x != chain.unit]
-    out = []
+    images = []
     for mask in range(1 << len(others)):
         subset = [chain.unit] + [x for i, x in enumerate(others) if mask >> i & 1]
-        subset.sort()
         if is_subuniverse(chain, subset):
-            out.append(tuple(subset))
-    return out
+            images.append(restrict_to(chain, subset))
+    images.extend(quotient(chain, cong)[0] for cong in congruences(chain))
+    return tuple(images)
 
 
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
@@ -340,60 +308,27 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
         if key in pool:
             continue
         pool[key] = c
-        for sub in _all_subuniverses(c):
-            work.append(restrict_to(c, sub))
-        for cong in congruences(c):
-            q, _ = quotient(c, cong)
-            work.append(q)
+        work.extend(_hs_step(c))
     return ChainClass.from_chains(pool.values())
 
 
-def _probe(sigs: frozenset, pairs: tuple, q: int) -> bool:
-    return DecompositionSignature(pairs, q) in sigs
+@lru_cache(maxsize=None)
+def _finite_classes() -> dict:
+    """The twelve finite classes, keyed by their (distinct) signature sets."""
+    return {
+        frozenset(class_signatures(cls)): cls for cls in all_sixty() if cls.is_finite
+    }
 
 
 def classify(K: ChainClass) -> Optional[CanonicalClass]:
-    """Decision tree on probe memberships, then exact verification.
+    """The class among the sixty whose member set is K, or None.
 
-    Probes pin each parameter (two-step ladders capping at ω) and three
-    shape questions: is any two-sided component present, do two of them
-    ever stack, and does a two-sided component ever carry a tail. The
-    resulting candidate is returned only when its member set equals K;
-    unbounded candidates can never equal a finite K and yield None.
+    Only a finite class can equal a finite K, so K's signature set is
+    looked up among the twelve finite classes.
     """
     if not K.members or not K.is_hs_closed():
         raise NotHSClosed()
-    sigs = K.signatures()
-    has_c = _probe(sigs, ((0, 0),), 0)
-    multi = _probe(sigs, ((0, 0), (0, 0)), 0)
-    tail = _probe(sigs, ((0, 0),), 1)
-    m_hat = OMEGA if _probe(sigs, ((2, 0),), 0) else (1 if _probe(sigs, ((1, 0),), 0) else 0)
-    n_hat = OMEGA if _probe(sigs, ((0, 2),), 0) else (1 if _probe(sigs, ((0, 1),), 0) else 0)
-    p_hat = OMEGA if _probe(sigs, (), 2) else (1 if _probe(sigs, (), 1) else 0)
-    try:
-        if not has_c:
-            cand = CanonicalClass(E_FAMILY, p=p_hat)
-        elif multi:
-            if tail:
-                cand = CanonicalClass(INF, m=m_hat, n=n_hat, p=p_hat)
-            elif p_hat == 0:
-                cand = CanonicalClass(INF, m=m_hat, n=n_hat, p=0)
-            else:
-                if m_hat != 0:
-                    return None
-                cand = CanonicalClass(INF_UNION_E, n=n_hat, p=p_hat)
-        else:
-            if tail or p_hat == 0:
-                cand = CanonicalClass(FIN, m=m_hat, n=n_hat, p=p_hat)
-            else:
-                cand = CanonicalClass(FIN_UNION_E, m=m_hat, n=n_hat, p=p_hat)
-    except ValueError:
-        return None
-    if not cand.is_finite:
-        return None
-    if class_signatures(cand) != set(sigs):
-        return None
-    return cand
+    return _finite_classes().get(K.signatures())
 
 
 _RULE_TEXT = {
@@ -504,7 +439,7 @@ def closure_rule_violations(K: ChainClass, size_cap: int = 9) -> tuple:
     return tuple(found)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HasAP:
     canonical: CanonicalClass
 
@@ -512,7 +447,7 @@ class HasAP:
         return {"ap": True, "class": self.canonical.text()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoAP:
     audit: tuple
     witness: Optional[Span] = None

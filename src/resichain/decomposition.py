@@ -95,9 +95,11 @@ def decompose(chain: FiniteChain) -> DecompositionSignature:
     return DecompositionSignature(pairs=pairs, p=len(blocks[u]) - 1)
 
 
+@lru_cache(maxsize=None)
 def recompose(sig: DecompositionSignature):
     """Rebuild a chain with the given signature; returns (chain,
-    descriptor). Inverse of decompose up to isomorphism."""
+    descriptor), built once per signature. Inverse of decompose up to
+    isomorphism."""
     parts = [com(m, n) for m, n in sig.pairs]
     if sig.p > 0:
         parts.append(go(sig.p))

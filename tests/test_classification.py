@@ -28,7 +28,9 @@ from resichain import (
     parse_class,
     sig_in_class,
 )
+from resichain.chain import validate
 from resichain.constructors import com, go, nested_sum
+from resichain.selfcheck import _hs_closed_sets, suite_ap_verdict
 
 
 def sig_keys(chains):
@@ -136,12 +138,23 @@ def test_hs_closure_is_idempotent():
     first = hs_closure([com(1, 1), go(2)])
     again = hs_closure(first.members)
     assert again.signatures() == first.signatures()
-    assert first.is_hs_closed
+    assert first.is_hs_closed()
+
+
+def test_hs_closure_keeps_the_labels_of_each_variant():
+    plain = com(1, 1)
+    renamed = validate(
+        plain.size, plain.unit, plain.mult, labels=[f"x{i}" for i in range(plain.size)]
+    )
+    assert renamed == plain
+    hs_closure([plain])
+    labels = {label for c in hs_closure([renamed]).members for label in c.labels}
+    assert labels and all(set(label) <= set("x0123456789[ ]") for label in labels)
 
 
 def test_every_canonical_class_is_hs_closed_at_bounded_scale():
     for cls in all_sixty():
-        assert ChainClass.from_chains(class_members(cls, 8)).is_hs_closed
+        assert ChainClass.from_chains(class_members(cls, 8)).is_hs_closed()
 
 
 def test_the_sixty_signature_sets_at_size_nine_are_distinct():
@@ -171,6 +184,19 @@ def test_classifier_accepts_every_finite_canonical_class():
             continue
         K = ChainClass.from_chains(class_members(cls, cls.max_member_size))
         assert classify(K) == cls
+
+
+def test_classifier_agrees_with_the_span_search_up_to_size_five():
+    # every non-empty HS-closed set of commutative idempotent chains of
+    # size <= 5: classified exactly when no span over it is refuted
+    assert suite_ap_verdict(5, 0, 1) == (643, [])
+    chains = []
+    for n in range(1, 6):
+        chains.extend(enumerate_chains(n, ("commutative", "idempotent")))
+    classified = [
+        classify(ChainClass.from_chains(members)) for members in _hs_closed_sets(chains)
+    ]
+    assert sum(cls is not None for cls in classified) == 11
 
 
 def test_classifier_requires_a_closed_input():

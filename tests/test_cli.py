@@ -437,6 +437,7 @@ VERIFY_CASES = [(suite, "4", 0) for suite in sorted(SUITES)] + [
     ("lemma:embedding-criterion", "-3", 1),
     ("lemma:skeleton-contraction", "2", 1),
     ("lemma:star-involution", "0", 1),
+    ("lemma:ap-verdict", "0", 1),
 ]
 
 
