@@ -7,7 +7,7 @@ unit-derived unary maps, predicate flags, nested sums.
 
 import json
 
-from resichain import ELL, LEFT, R, STAR, chain_from_json, derived, predicates, residual
+from resichain import ELL, LEFT, R, STAR, chain_from_json, decompose, derived, predicates, residual
 from resichain.constructors import com, go, nested_sum
 
 
@@ -46,9 +46,9 @@ def main():
     print("(star fails to be involutive: a1^** climbs back to a different spot)")
     print()
 
-    glued, desc = nested_sum([com(0, 0), go(1)])
+    glued = nested_sum([com(0, 0), go(1)])
     print("nested sum com(0,0) + go(1):", [glued.label(x) for x in glued.elements()])
-    print("summand placement:", desc.element_maps)
+    print("normal form:", decompose(glued).text())
     print()
 
     blob = json.dumps(c.to_json())

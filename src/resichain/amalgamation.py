@@ -18,14 +18,13 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .chain import FiniteChain, chain_from_json, enumerate_chains, enumeration_cap
-from .constructors import NestedSumDescriptor, com, go, nested_sum
+from .constructors import com, go
 from .decomposition import decompose
 from .errors import (
     InvalidSpan,
     NotCommutative,
     NotIdempotent,
     ShapeMismatch,
-    SharedOrderConflict,
     SizeTooLarge,
 )
 from .morphisms import (
@@ -285,16 +284,8 @@ def amalgamate_components(span: Span) -> AmalgamResult:
     below = _zip_side(list(range(ub)), list(range(uc)), below_anchors)
 
     if kind == "go":
+        above = []
         d = go(len(below))
-        jb_img = [None] * span.B.size
-        jc_img = [None] * span.C.size
-        for pos, (x, y) in enumerate(below):
-            if x is not None:
-                jb_img[x] = pos
-            if y is not None:
-                jc_img[y] = pos
-        jb_img[ub] = d.unit
-        jc_img[uc] = d.unit
     else:
         above_anchors = [
             (span.i_B.image[x], span.i_C.image[x])
@@ -306,74 +297,18 @@ def amalgamate_components(span: Span) -> AmalgamResult:
             above_anchors,
         )
         d = com(len(below) - 1, len(above) - 1)
-        jb_img = [None] * span.B.size
-        jc_img = [None] * span.C.size
-        for pos, (x, y) in enumerate(below):
-            if x is not None:
-                jb_img[x] = pos
-            if y is not None:
-                jc_img[y] = pos
-        jb_img[ub] = d.unit
-        jc_img[uc] = d.unit
-        for pos, (x, y) in enumerate(above):
-            if x is not None:
-                jb_img[x] = d.unit + 1 + pos
-            if y is not None:
-                jc_img[y] = d.unit + 1 + pos
+    # the units pair up in the slot after the below-unit ones: d's unit
+    # in both shapes
+    jb_img = [None] * span.B.size
+    jc_img = [None] * span.C.size
+    for pos, (x, y) in enumerate(below + [(ub, uc)] + above):
+        if x is not None:
+            jb_img[x] = pos
+        if y is not None:
+            jc_img[y] = pos
     return AmalgamResult(
         D=d,
         j_B=ChainMap(span.B, d, tuple(jb_img)),
         j_C=ChainMap(span.C, d, tuple(jc_img)),
         one_sided=False,
     )
-
-
-def merge_nested_span(
-    desc_a: NestedSumDescriptor,
-    desc_b: NestedSumDescriptor,
-    desc_c: NestedSumDescriptor,
-) -> NestedSumDescriptor:
-    """Merge two nested-sum descriptors over a shared sub-family of
-    labeled summands. Shared labels must occur in the same relative
-    order on both sides and carry equal components; between consecutive
-    shared labels, B-only summands precede C-only summands."""
-    b_labels, c_labels = list(desc_b.labels), list(desc_c.labels)
-    shared_b = [l for l in b_labels if l in set(c_labels)]
-    shared_c = [l for l in c_labels if l in set(b_labels)]
-    if shared_b != shared_c:
-        raise SharedOrderConflict()
-    shared = shared_b
-    for label in desc_a.labels:
-        if label not in shared:
-            raise ValueError("every summand of A must be shared by B and C")
-    part_by_label = {}
-    for desc in (desc_b, desc_c):
-        for label, part in zip(desc.labels, desc.parts):
-            if label in part_by_label and part_by_label[label] != part:
-                raise ValueError(f"shared label {label!r} carries distinct parts")
-            part_by_label[label] = part
-
-    def segments(labels: list) -> list:
-        out = []
-        seg: list = []
-        for l in labels:
-            if l in set(shared):
-                out.append(seg)
-                seg = []
-            else:
-                seg.append(l)
-        out.append(seg)
-        return out
-
-    segs_b, segs_c = segments(b_labels), segments(c_labels)
-    merged: list = []
-    for t in range(len(shared) + 1):
-        merged.extend(segs_b[t])
-        merged.extend(segs_c[t])
-        if t < len(shared):
-            merged.append(shared[t])
-    parts = tuple(part_by_label[l] for l in merged)
-    if all(isinstance(p, FiniteChain) for p in parts):
-        chain, desc = nested_sum(parts, labels=tuple(merged))
-        return desc
-    return NestedSumDescriptor(parts=parts, labels=tuple(merged))

@@ -100,10 +100,6 @@ class FiniteChain:
         return self.mult[x][y]
 
     @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
     def top(self) -> int:
         return self.size - 1
 

@@ -249,7 +249,7 @@ def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> Candid
     decomposition signature. The list also carries their canonical
     (size, signature) order for find_amalgam."""
     sigs = sorted(class_signatures(cls, max_size), key=lambda s: (s.size, s.pairs, s.p))
-    return CandidatePool(recompose(sig)[0] for sig in sigs)
+    return CandidatePool(recompose(sig) for sig in sigs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,6 +30,7 @@ from .chain import (
     FiniteChain,
     chain_from_json,
     enumerate_chains,
+    enumeration_cap,
     predicates,
     residual,
     signature_hex,
@@ -37,7 +38,7 @@ from .chain import (
 from .classification import ap_verdict, class_members, hs_closure, parse_class
 from .constructors import com, go, nested_sum
 from .decomposition import decompose
-from .errors import MalformedInput, ResichainError
+from .errors import MalformedInput, ResichainError, SizeTooLarge
 from .morphisms import (
     congruence_from_kernel,
     congruences,
@@ -133,9 +134,7 @@ def _element(chain: FiniteChain, name: str) -> int:
 def parse_make_spec(spec: str) -> FiniteChain:
     """go:N, com:M,N, or sum:PART+PART+... with parts in the same syntax."""
     if spec.startswith("sum:"):
-        parts = [parse_make_spec(p) for p in spec[4:].split("+")]
-        chain, _ = nested_sum(parts)
-        return chain
+        return nested_sum([parse_make_spec(p) for p in spec[4:].split("+")])
     try:
         if spec.startswith("go:"):
             return go(int(spec[3:]))
@@ -402,6 +401,9 @@ def cmd_verify(args) -> int:
             _usage_error(
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
             )
+    cap = enumeration_cap()
+    if args.max_size > cap:
+        raise SizeTooLarge(f"size {args.max_size} exceeds the enumeration cap {cap}")
     ok = True
     for name in names:
         checked, failures = SUITES[name](args.max_size, args.seed, args.jobs)

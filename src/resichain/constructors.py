@@ -4,13 +4,16 @@ go(n) is the (n+1)-element chain below the unit where multiplication is min.
 com(m, n) is the chain b_m < ... < b_0 < e < a_n < ... < a_0 where products of
 upper elements take the larger, products of lower elements take the smaller,
 and mixed products fall to the lower factor. nested_sum glues summands at a
-shared unit, each later summand strictly inside the previous one.
+shared unit, each later summand strictly inside the previous one, and
+returns the glued chain alone. Its elements keep their summands' labels;
+a label that occurs in more than one summand gets the summand's position
+as a suffix (b0.1, b0.2), so each element's origin can be read back from
+the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chain import FiniteChain, predicates, validate
 from .errors import NotAdmissible
@@ -51,40 +54,15 @@ def com(m: int, n: int) -> FiniteChain:
     return validate(size, u, table, labels=labels)
 
 
-@dataclass(frozen=True)
-class NestedSumDescriptor:
-    """Bookkeeping for a nested sum: the summands, their labels, and where
-    each summand's elements land in the glued chain (None for descriptors
-    over opaque components that were never materialized)."""
-
-    parts: tuple
-    labels: tuple
-    chain: Optional[FiniteChain] = None
-    element_maps: Optional[tuple] = None
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.labels):
-            raise ValueError("one label per part")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
-
-    @property
-    def top_index(self) -> int:
-        return len(self.parts) - 1
-
-
-def nested_sum(parts: Sequence[FiniteChain], labels: Optional[Sequence[str]] = None):
-    """Glue chains at a shared unit; returns (chain, descriptor).
+def nested_sum(parts: Sequence[FiniteChain]) -> FiniteChain:
+    """Glue chains at a shared unit, each later summand strictly inside
+    the previous one.
 
     Every summand except the last must be admissible, otherwise the result
     would not be residuated; the offending index is reported. An empty part
     list yields the one-element chain.
     """
     parts = tuple(parts)
-    if labels is None:
-        labels = tuple(f"P{i + 1}" for i in range(len(parts)))
-    else:
-        labels = tuple(labels)
     for i, part in enumerate(parts[:-1] if parts else ()):
         if not predicates(part).admissible:
             raise NotAdmissible(i)
@@ -102,10 +80,7 @@ def nested_sum(parts: Sequence[FiniteChain], labels: Optional[Sequence[str]] = N
         order.extend((i, x) for x in poss[i])
     size = len(order)
 
-    element_maps = []
-    for i, part in enumerate(parts):
-        emap = [unit_pos] * part.size
-        element_maps.append(emap)
+    element_maps = [[unit_pos] * part.size for part in parts]
     for g, slot in enumerate(order):
         if slot is not None:
             i, x = slot
@@ -146,11 +121,4 @@ def nested_sum(parts: Sequence[FiniteChain], labels: Optional[Sequence[str]] = N
                     table[gx][gy] = gx  # outer summand absorbs across summands
                 else:
                     table[gx][gy] = gy
-    chain = validate(size, unit_pos, table, labels=tuple(out_labels))
-    desc = NestedSumDescriptor(
-        parts=parts,
-        labels=labels,
-        chain=chain,
-        element_maps=tuple(tuple(m) for m in element_maps),
-    )
-    return chain, desc
+    return validate(size, unit_pos, table, labels=tuple(out_labels))

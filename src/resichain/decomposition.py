@@ -96,9 +96,9 @@ def decompose(chain: FiniteChain) -> DecompositionSignature:
 
 
 @lru_cache(maxsize=None)
-def recompose(sig: DecompositionSignature):
-    """Rebuild a chain with the given signature; returns (chain,
-    descriptor), built once per signature. Inverse of decompose up to
+def recompose(sig: DecompositionSignature) -> FiniteChain:
+    """The nested sum of com(m_i, n_i) for each pair, outermost first,
+    around go(p); built once per signature. Inverse of decompose up to
     isomorphism."""
     parts = [com(m, n) for m, n in sig.pairs]
     if sig.p > 0:

@@ -69,27 +69,6 @@ class NotAdmissible(ResichainError):
         return {"error": self.code, "witness": self.index}
 
 
-class TopNotPreserved(ResichainError):
-    code = "TopNotPreserved"
-
-
-class ComponentNotEmbedding(ResichainError):
-    """An index-wise component map fails to embed. Carries the component index."""
-
-    code = "ComponentNotEmbedding"
-
-    def __init__(self, index, message=""):
-        self.index = index
-        super().__init__(message or f"component {index} is not an embedding")
-
-    def payload(self) -> dict:
-        return {"error": self.code, "witness": self.index}
-
-
-class NoSubcover(ResichainError):
-    code = "NoSubcover"
-
-
 class NotCommutative(ResichainError):
     code = "NotCommutative"
 
@@ -106,17 +85,9 @@ class ShapeMismatch(ResichainError):
     code = "ShapeMismatch"
 
 
-class SharedOrderConflict(ResichainError):
-    code = "SharedOrderConflict"
-
-
 class NotHSClosed(ResichainError):
     code = "NotHSClosed"
 
 
 class StartIsUnit(ResichainError):
     code = "StartIsUnit"
-
-
-class ConditionIsOneA(ResichainError):
-    code = "ConditionIsOneA"

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .chain import FiniteChain, predicates, signature_hex, validate
-from .constructors import NestedSumDescriptor, nested_sum
-from .errors import ComponentNotEmbedding, NoSubcover, TopNotPreserved
+from .chain import FiniteChain, signature_hex, validate
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,24 +44,12 @@ class ChainMap:
             self.image[x] <= self.image[x + 1] for x in range(self.domain.size - 1)
         )
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
-        if other.codomain != self.domain:
-            raise ValueError("codomain/domain mismatch")
-        return ChainMap(
-            other.domain, self.codomain, tuple(self.image[v] for v in other.image)
-        )
-
     def to_json(self) -> dict:
         return {
             "domain": signature_hex(self.domain),
             "codomain": signature_hex(self.codomain),
             "image": list(self.image),
         }
-
-
-def identity_map(chain: FiniteChain) -> ChainMap:
-    return ChainMap(chain, chain, tuple(range(chain.size)))
 
 
 def is_homomorphism(h: ChainMap) -> bool:
@@ -318,23 +304,6 @@ def quotient(chain: FiniteChain, cong: Congruence):
     return q, proj
 
 
-def kernel_of(h: ChainMap) -> Congruence:
-    """Congruence identifying elements with equal images."""
-    blocks = []
-    x = 0
-    while x < h.domain.size:
-        y = x
-        while y + 1 < h.domain.size and h.image[y + 1] == h.image[x]:
-            y += 1
-        blocks.append(tuple(range(x, y + 1)))
-        x = y + 1
-    blocks = tuple(blocks)
-    kernel_class = next(
-        blk for blk in blocks if blk[0] <= h.domain.unit <= blk[-1]
-    )
-    return Congruence(h.domain, blocks, kernel_class)
-
-
 @lru_cache(maxsize=None)
 def homomorphism_images(a: FiniteChain, b: FiniteChain) -> tuple:
     """Image tuples of every homomorphism a -> b, sorted; memoized."""
@@ -349,71 +318,3 @@ def enumerate_homomorphisms(a: FiniteChain, b: FiniteChain) -> list:
     """Every homomorphism factors as quotient projection then embedding,
     so enumeration walks (congruence, embedding-of-quotient) pairs."""
     return [ChainMap(a, b, f) for f in homomorphism_images(a, b)]
-
-
-def subcover_injectivity(h: ChainMap) -> bool:
-    """A homomorphism is injective iff it separates the unit from the
-    element directly below it; raises when no such element exists."""
-    u = h.domain.unit
-    if u == 0:
-        raise NoSubcover()
-    return h.image[u - 1] < h.image[u]
-
-
-Partsish = Union[NestedSumDescriptor, Sequence[FiniteChain]]
-
-
-def _as_descriptor(parts: Partsish) -> NestedSumDescriptor:
-    if isinstance(parts, NestedSumDescriptor):
-        if parts.chain is None or parts.element_maps is None:
-            chain, desc = nested_sum(parts.parts, parts.labels)
-            return desc
-        return parts
-    chain, desc = nested_sum(tuple(parts))
-    return desc
-
-
-def lift_nested_embedding(
-    f: Sequence[int], parts_a: Partsish, parts_b: Partsish, g: Sequence[ChainMap]
-) -> ChainMap:
-    """Glue per-summand embeddings into an embedding of the nested sums.
-
-    f sends summand positions of the first sum to summand positions of the
-    second, strictly increasing. A summand whose unit residuals hit e
-    (only legal in the innermost position) must stay innermost: if the
-    first sum ends in such a summand, f must send it to the last position
-    of the second, otherwise TopNotPreserved. Each g[i] must embed part i
-    into part f[i], otherwise ComponentNotEmbedding(i).
-    """
-    src = _as_descriptor(parts_a)
-    dst = _as_descriptor(parts_b)
-    f = tuple(f)
-    g = tuple(g)
-    k = len(src.parts)
-    if len(f) != k or len(g) != k:
-        raise ValueError("one index and one map per summand")
-    for i, j in enumerate(f):
-        if not 0 <= j < len(dst.parts):
-            raise ValueError("index map out of range")
-        if i > 0 and f[i - 1] >= j:
-            raise ValueError("index map must be strictly increasing")
-    if k > 0 and not predicates(src.parts[-1]).admissible:
-        if f[-1] != dst.top_index:
-            raise TopNotPreserved()
-    for i in range(k):
-        gi = g[i]
-        if (
-            gi.domain != src.parts[i]
-            or gi.codomain != dst.parts[f[i]]
-            or not is_embedding(gi)
-        ):
-            raise ComponentNotEmbedding(i)
-    image = [dst.chain.unit] * src.chain.size
-    for i in range(k):
-        smap = src.element_maps[i]
-        dmap = dst.element_maps[f[i]]
-        for x in range(src.parts[i].size):
-            image[smap[x]] = dmap[g[i].image[x]]
-    out = ChainMap(src.chain, dst.chain, tuple(image))
-    assert is_embedding(out), "glued map failed the embedding criterion"
-    return out

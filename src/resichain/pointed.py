@@ -13,22 +13,20 @@ congruences of the unpointed chain, so no separate machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .chain import (
     STAR,
     FiniteChain,
-    canonical_signature,
     chain_from_json,
     derived,
     enumerate_chains,
     restrict_to,
     subalgebra_generated,
 )
-from .constructors import com, go, nested_sum
-from .decomposition import skeleton_blocks, sugihara_skeleton
-from .errors import ConditionIsOneA
-from .morphisms import ChainMap, congruences, enumerate_embeddings
+from .constructors import com, go
+from .decomposition import sugihara_skeleton
+from .morphisms import ChainMap, enumerate_embeddings
 
 ONE_A = "1a"
 ONE_B = "1b"
@@ -138,48 +136,3 @@ def generated_pointed_subalgebra(A: PointedChain) -> PointedChain:
     universe = sorted(subalgebra_generated(A.base, [A.f]))
     sub = restrict_to(A.base, universe)
     return PointedChain(sub, universe.index(A.f))
-
-
-def _part_chains(base: FiniteChain) -> Tuple[list, Optional[FiniteChain], list]:
-    """Pair summands (outermost first), the tail summand or None, and the
-    per-part element lists in base coordinates."""
-    blocks = skeleton_blocks(base)
-    k = len(blocks) // 2
-    pair_elems = []
-    for i in range(k):
-        elems = sorted(tuple(blocks[i][1]) + (base.unit,) + tuple(blocks[2 * k - i][1]))
-        pair_elems.append(elems)
-    unit_block = sorted(blocks[k][1])
-    pairs = [restrict_to(base, elems) for elems in pair_elems]
-    tail = restrict_to(base, unit_block) if len(unit_block) > 1 else None
-    return pairs, tail, pair_elems + [unit_block]
-
-
-def pointed_decompose(A: PointedChain):
-    """Split the nested-sum normal form at the summand holding f.
-
-    Conditions 1b/1c/2b/2c yield (outer, middle-with-f, inner); condition
-    2a yields (outer, tail-with-f). Condition 1a has no canonical split.
-    """
-    cond = condition_of(A)
-    if cond == ONE_A:
-        raise ConditionIsOneA()
-    base, f = A.base, A.f
-    pairs, tail, elem_lists = _part_chains(base)
-    if cond == TWO_A:
-        unit_block = elem_lists[-1]
-        outer, _ = nested_sum(pairs)
-        return outer, PointedChain(tail, unit_block.index(f))
-    for i, elems in enumerate(elem_lists[:-1]):
-        if f in elems:
-            outer, _ = nested_sum(pairs[:i])
-            inner_parts = pairs[i + 1 :] + ([tail] if tail is not None else [])
-            inner, _ = nested_sum(inner_parts)
-            middle = PointedChain(pairs[i], elems.index(f))
-            return outer, middle, inner
-    raise RuntimeError("f not located in any summand")
-
-
-def pointed_congruences(A: PointedChain):
-    """Congruences coincide with those of the f-free chain."""
-    return congruences(A.base)

@@ -276,7 +276,7 @@ def _decomposition_worker(n: int):
     chains = list(enumerate_chains(n, filters=("commutative", "idempotent")))
     for c in chains:
         sig = decompose(c)
-        rc, _ = recompose(sig)
+        rc = recompose(sig)
         checked += 1
         if not iso_equal(rc, c):
             failures.append(f"round trip failed for {signature_hex(c)}")

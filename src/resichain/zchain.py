@@ -184,16 +184,16 @@ def generated_reach(spec: SetSpec, start: ASElement, depth: int) -> frozenset:
         raise StartIsUnit()
     if depth < 0:
         raise ValueError("depth must be a natural")
-    current = {start}
+    reached = {start}
+    frontier = reached
     for _ in range(depth):
-        grown = set(current)
-        for x in current:
-            grown.add(as_unary(spec, x, ELL))
-            grown.add(as_unary(spec, x, R))
-        if grown == current:
+        # only the elements added by the last step can reach new ones
+        images = {as_unary(spec, x, which) for x in frontier for which in (ELL, R)}
+        frontier = images - reached
+        if not frontier:
             break
-        current = grown
-    return frozenset(current)
+        reached |= frontier
+    return frozenset(reached)
 
 
 def index_range(elements: Iterable[ASElement]) -> Optional[Tuple[int, int]]:

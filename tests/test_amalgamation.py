@@ -1,12 +1,10 @@
-"""Spans, exhaustive amalgam search, constructive amalgamators, and
-nested-sum span merging."""
+"""Spans, exhaustive amalgam search and constructive amalgamators."""
 
 import random
 
 import pytest
 
 from resichain import (
-    TRIVIAL,
     AmalgamResult,
     BoundExhausted,
     ChainMap,
@@ -14,29 +12,28 @@ from resichain import (
     InvalidSpan,
     Refuted,
     ShapeMismatch,
-    SharedOrderConflict,
     Span,
     amalgamate_components,
     canonical_signature,
     decompose,
     enumerate_embeddings,
     find_amalgam,
-    identity_map,
-    is_embedding,
     iso_equal,
-    lift_nested_embedding,
-    merge_nested_span,
     predicates,
     span_from_json,
     verify_amalgam,
 )
 from resichain.classification import all_sixty, class_members, hs_closure, parse_class
-from resichain.constructors import com, go, nested_sum
+from resichain.constructors import com, go
 from resichain.selfcheck import reference_find_amalgam
 
 
 def inclusion(a, b, image):
     return ChainMap(a, b, tuple(image))
+
+
+def identity(a):
+    return ChainMap(a, a, tuple(range(a.size)))
 
 
 def is_goedel(chain):
@@ -115,7 +112,7 @@ def test_search_without_completeness_reports_the_bound():
 
 def test_search_identity_span_returns_the_base_chain():
     a = com(0, 1)
-    span = Span(a, a, a, identity_map(a), identity_map(a))
+    span = Span(a, a, a, identity(a), identity(a))
     res = find_amalgam(span, lambda d: True, a.size)
     assert isinstance(res, AmalgamResult)
     assert iso_equal(res.D, a)
@@ -193,12 +190,12 @@ def test_components_refuse_mixed_shapes():
 def test_trivial_summands_do_not_vote_on_the_shape():
     a = go(0)
     span = Span(
-        a, a, com(0, 0), identity_map(a), inclusion(a, com(0, 0), (1,))
+        a, a, com(0, 0), identity(a), inclusion(a, com(0, 0), (1,))
     )
     res = amalgamate_components(span)
     assert iso_equal(res.D, com(0, 0))
     assert verify_amalgam(span, res)
-    all_trivial = Span(a, a, a, identity_map(a), identity_map(a))
+    all_trivial = Span(a, a, a, identity(a), identity(a))
     res = amalgamate_components(all_trivial)
     assert res.D.size == 1
     assert verify_amalgam(all_trivial, res)
@@ -245,74 +242,6 @@ def test_constructive_size_tracks_the_search_minimum():
         assert isinstance(res, AmalgamResult)
         assert verify_amalgam(span, res)
         assert cons.D.size <= res.D.size + 1
-
-
-# --- nested-sum span merging ---------------------------------------------
-
-
-def labeled(parts_with_labels):
-    parts = tuple(p for p, _ in parts_with_labels)
-    labels = tuple(l for _, l in parts_with_labels)
-    _, desc = nested_sum(parts, labels=labels)
-    return desc
-
-
-def test_merge_appends_the_two_private_tails():
-    x1, x2, x3 = com(0, 0), com(1, 0), go(1)
-    merged = merge_nested_span(
-        labeled([(x1, "X1")]),
-        labeled([(x1, "X1"), (x2, "X2")]),
-        labeled([(x1, "X1"), (x3, "X3")]),
-    )
-    assert merged.labels == ("X1", "X2", "X3")
-    assert merged.parts == (x1, x2, x3)
-
-
-def test_merge_of_identical_descriptors_changes_nothing():
-    desc = labeled([(com(0, 0), "L"), (go(1), "M")])
-    merged = merge_nested_span(desc, desc, desc)
-    assert merged.labels == desc.labels
-    assert canonical_signature(merged.chain) == canonical_signature(desc.chain)
-
-
-def test_merge_linearizes_crossed_positions_and_inclusions_lift():
-    x1, x2, x3 = com(0, 0), com(1, 0), go(1)
-    desc_b = labeled([(x2, "X2"), (x1, "X1")])
-    desc_c = labeled([(x1, "X1"), (x3, "X3")])
-    merged = merge_nested_span(labeled([(x1, "X1")]), desc_b, desc_c)
-    assert merged.labels == ("X2", "X1", "X3")
-    jb = lift_nested_embedding(
-        [0, 1], desc_b, merged, [identity_map(x2), identity_map(x1)]
-    )
-    jc = lift_nested_embedding(
-        [1, 2], desc_c, merged, [identity_map(x1), identity_map(x3)]
-    )
-    assert is_embedding(jb) and is_embedding(jc)
-    # both routes agree on the shared summand
-    shared_b = {v: k for k, v in enumerate(desc_b.labels)}
-    src_map = desc_b.element_maps[shared_b["X1"]]
-    dst_map = desc_c.element_maps[0]
-    for x in range(x1.size):
-        assert jb.image[src_map[x]] == jc.image[dst_map[x]]
-
-
-def test_merge_rejects_inconsistent_shared_order():
-    x1, x2, y = com(0, 0), com(1, 0), com(0, 1)
-    with pytest.raises(SharedOrderConflict):
-        merge_nested_span(
-            labeled([(x1, "X1")]),
-            labeled([(x1, "X1"), (x2, "X2"), (y, "Y")]),
-            labeled([(y, "Y"), (x1, "X1")]),
-        )
-
-
-def test_merge_rejects_one_label_with_two_parts():
-    with pytest.raises(ValueError):
-        merge_nested_span(
-            labeled([(com(0, 0), "X1")]),
-            labeled([(com(0, 0), "X1")]),
-            labeled([(go(1), "X1")]),
-        )
 
 
 # --- certificate verification --------------------------------------------

@@ -110,7 +110,7 @@ def test_residual_rejects_unknown_labels(capsys, tmp_path):
 
 
 def test_decompose_prints_the_signature(capsys, tmp_path):
-    base, _ = nested_sum([com(1, 1), go(2)])
+    base = nested_sum([com(1, 1), go(2)])
     path = chain_file(tmp_path, base)
     code, got = run_json(capsys, "decompose", path)
     assert code == 0
@@ -447,6 +447,16 @@ def test_verify_passes_only_a_suite_that_checked_something(capsys, suite, max_si
     assert code == want
     assert got["suite"] == suite and got["failed"] == 0
     assert (got["checked"] > 0) == (want == 0)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
+def test_verify_refuses_a_max_size_above_the_cap(capsys, monkeypatch, suite):
+    monkeypatch.setenv("RESICHAIN_MAX_SIZE", "3")
+    code, out = run(capsys, "verify", suite, "--max-size", "4")
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"error": "SizeTooLarge", "witness": "size 4 exceeds the enumeration cap 3"}
+    ]
 
 
 def test_verify_rejects_unknown_suites(capsys):

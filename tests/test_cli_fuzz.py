@@ -118,7 +118,7 @@ def _span(a, b, c, k):
 
 
 CHAINS = [go(0).to_json(), go(2).to_json(), com(1, 1).to_json(), com(0, 2).to_json(),
-          nested_sum([com(0, 0), go(1)])[0].to_json()]
+          nested_sum([com(0, 0), go(1)]).to_json()]
 SPANS = [_span(go(1), go(2), go(2), 1), _span(com(0, 0), com(1, 0), com(0, 1), 0)]
 POINTED = [PointedChain(com(1, 0), 0).to_json(), PointedChain(go(2), 1).to_json()]
 

@@ -83,12 +83,13 @@ def _load() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-CASES = _load()["cases"]
+RECORD = _load()
+CASES = RECORD["cases"]
 
 
 @pytest.fixture(scope="module")
 def input_paths(tmp_path_factory):
-    return _materialize(_load()["inputs"], tmp_path_factory.mktemp("golden"))
+    return _materialize(RECORD["inputs"], tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])

@@ -10,11 +10,26 @@ from resichain import (
     residual,
     validate,
 )
-from resichain.constructors import NestedSumDescriptor, com, go, nested_sum
+from resichain.constructors import com, go, nested_sum
 
 
 def lab(chain, name):
     return chain.index_of_label(name)
+
+
+def placement(chain, parts, i):
+    """Where the elements of parts[i] land in their nested sum, read from
+    the glued labels: a label shared by several summands carries the
+    summand's position as a suffix."""
+    part = parts[i]
+
+    def spot(x):
+        if x == part.unit:
+            return chain.unit
+        name = part.label(x)
+        return lab(chain, name if name in chain.labels else f"{name}.{i + 1}")
+
+    return [spot(x) for x in part.elements()]
 
 
 # --- go ---------------------------------------------------------------
@@ -97,12 +112,12 @@ def test_com_rejects_negative():
 
 
 def test_nested_sum_order_example():
-    chain, _ = nested_sum([com(0, 0), go(1)])
+    chain = nested_sum([com(0, 0), go(1)])
     assert [chain.label(x) for x in chain.elements()] == ["b0", "c1", "e", "a0"]
 
 
 def test_nested_sum_cross_product_falls_to_outer_element():
-    chain, _ = nested_sum([com(0, 0), go(1)])
+    chain = nested_sum([com(0, 0), go(1)])
     assert chain.mul(lab(chain, "a0"), lab(chain, "c1")) == lab(chain, "a0")
 
 
@@ -114,21 +129,21 @@ def test_nested_sum_rejects_inadmissible_non_top_part():
 
 
 def test_nested_sum_top_part_may_be_inadmissible():
-    chain, _ = nested_sum([com(0, 0), go(2)])
+    chain = nested_sum([com(0, 0), go(2)])
     assert chain.size == 5
 
 
 def test_nested_sum_of_nothing_is_trivial():
-    chain, desc = nested_sum([])
+    chain = nested_sum([])
     assert chain.size == 1
-    assert desc.parts == ()
 
 
 def test_element_maps_are_order_embeddings_gluing_units():
     parts = [com(1, 0), com(0, 1), go(2)]
-    chain, desc = nested_sum(parts)
+    chain = nested_sum(parts)
     assert chain.size == sum(p.size - 1 for p in parts) + 1
-    for part, emap in zip(parts, desc.element_maps):
+    for i, part in enumerate(parts):
+        emap = placement(chain, parts, i)
         assert emap[part.unit] == chain.unit
         assert len(set(emap)) == part.size
         for x in range(part.size - 1):
@@ -136,31 +151,27 @@ def test_element_maps_are_order_embeddings_gluing_units():
 
 
 def test_labels_qualified_only_on_cross_part_collision():
-    chain, _ = nested_sum([com(0, 0), com(0, 0)])
+    chain = nested_sum([com(0, 0), com(0, 0)])
     labels = [chain.label(x) for x in chain.elements()]
     # both parts carry b0 and a0, so each copy is qualified by position
     assert labels == ["b0.1", "b0.2", "e", "a0.2", "a0.1"]
-    chain2, _ = nested_sum([com(0, 0), go(1)])
+    chain2 = nested_sum([com(0, 0), go(1)])
     assert "b0" in chain2.labels and "c1" in chain2.labels
 
 
 def test_later_parts_nest_strictly_inside_earlier_ones():
-    chain, desc = nested_sum([com(1, 0), com(0, 1)])
-    outer, inner = desc.element_maps
+    parts = [com(1, 0), com(0, 1)]
+    chain = nested_sum(parts)
+    outer, inner = (placement(chain, parts, i) for i in range(2))
     lo, hi = min(inner), max(inner)
     for g in outer:
         if g != chain.unit:
             assert g < lo or g > hi
 
 
-def test_descriptor_requires_distinct_labels():
-    with pytest.raises(ValueError):
-        NestedSumDescriptor(parts=(com(0, 0), go(1)), labels=("X", "X"))
-
-
 def test_nested_sum_associates_with_itself():
     # gluing a glued chain behaves like gluing the flat part list
-    inner, _ = nested_sum([com(0, 0), com(1, 0)])
-    left, _ = nested_sum([inner, go(1)])
-    flat, _ = nested_sum([com(0, 0), com(1, 0), go(1)])
+    inner = nested_sum([com(0, 0), com(1, 0)])
+    left = nested_sum([inner, go(1)])
+    flat = nested_sum([com(0, 0), com(1, 0), go(1)])
     assert iso_equal(left, flat)

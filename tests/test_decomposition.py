@@ -56,13 +56,13 @@ def test_skeleton_of_go3_is_the_unit():
 
 
 def test_skeleton_of_double_com00_is_everything():
-    chain, _ = nested_sum([com(0, 0), com(0, 0)])
+    chain = nested_sum([com(0, 0), com(0, 0)])
     assert sugihara_skeleton(chain) == tuple(chain.elements())
 
 
 def test_skeleton_has_odd_size_and_pairs_up(
 ):
-    for chain in (com(2, 1), go(4), nested_sum([com(1, 0), go(2)])[0]):
+    for chain in (com(2, 1), go(4), nested_sum([com(1, 0), go(2)])):
         skel = sugihara_skeleton(chain)
         assert len(skel) % 2 == 1
         below = [x for x in skel if x < chain.unit]
@@ -71,7 +71,7 @@ def test_skeleton_has_odd_size_and_pairs_up(
 
 
 def test_skeleton_blocks_cover_the_chain_with_intervals():
-    chain, _ = nested_sum([com(1, 1), go(2)])
+    chain = nested_sum([com(1, 1), go(2)])
     blocks = skeleton_blocks(chain)
     seen = []
     for fixpoint, interval in blocks:
@@ -99,7 +99,7 @@ def test_skeleton_demands_commutative_idempotent():
 
 
 def test_decompose_com_plus_go_tail():
-    chain, _ = nested_sum([com(0, 0), go(1)])
+    chain = nested_sum([com(0, 0), go(1)])
     sig = decompose(chain)
     assert sig.pairs == ((0, 0),) and sig.p == 1
     assert sig.text() == "C(0,0) ⊞ Go_1"
@@ -112,14 +112,14 @@ def test_decompose_pure_go():
 
 
 def test_decompose_double_com00():
-    chain, _ = nested_sum([com(0, 0), com(0, 0)])
+    chain = nested_sum([com(0, 0), com(0, 0)])
     sig = decompose(chain)
     assert sig.pairs == ((0, 0), (0, 0)) and sig.p == 0
     assert sig.text() == "C(0,0) ⊞ C(0,0)"
 
 
 def test_decompose_reads_mixed_sums_outermost_first():
-    chain, _ = nested_sum([com(1, 1), com(0, 2), go(3)])
+    chain = nested_sum([com(1, 1), com(0, 2), go(3)])
     sig = decompose(chain)
     assert sig.pairs == ((1, 1), (0, 2)) and sig.p == 3
     assert sig.text() == "C(1,1) ⊞ C(0,2) ⊞ Go_3"
@@ -139,7 +139,7 @@ def test_signature_size_identity():
 def test_round_trip_up_to_isomorphism():
     for n in range(1, 7):
         for chain in enumerate_chains(n, ("commutative", "idempotent")):
-            rebuilt, _ = recompose(decompose(chain))
+            rebuilt = recompose(decompose(chain))
             assert iso_equal(rebuilt, chain)
 
 
@@ -156,9 +156,8 @@ def test_signatures_separate_chains_up_to_isomorphism():
 def test_every_signature_round_trips_through_recompose():
     for pairs, p in all_signatures(8):
         sig = DecompositionSignature(pairs=pairs, p=p)
-        chain, desc = recompose(sig)
+        chain = recompose(sig)
         assert decompose(chain) == sig
-        assert len(desc.parts) == len(pairs) + (1 if p else 0)
 
 
 # --- counting ----------------------------------------------------------

@@ -1,27 +1,22 @@
-"""Pointed chains: the six-condition classifier, seeds, partition,
-pointed decomposition, and congruence reuse."""
+"""Pointed chains: the six-condition classifier, seeds, partition and
+JSON."""
 
 import pytest
 
 from resichain import (
     CONDITIONS,
-    ConditionIsOneA,
     PointedChain,
     canonical_signature,
     condition_of,
-    congruences,
     cross_embedding_count,
     enumerate_pointed_embeddings,
     generated_pointed_subalgebra,
-    iso_equal,
     partition,
-    pointed_congruences,
-    pointed_decompose,
     pointed_from_json,
     pointed_pool,
     seed_algebra,
 )
-from resichain.constructors import com, go, nested_sum
+from resichain.constructors import com, go
 from resichain.selfcheck import brute_star
 
 
@@ -117,61 +112,7 @@ def test_no_pointed_embedding_crosses_conditions():
     assert cross_embedding_count(pointed_pool(4)) == 0
 
 
-# --- decomposition -------------------------------------------------------
-
-
-def test_decompose_splits_at_the_summand_holding_f():
-    base, desc = nested_sum([com(1, 0), go(2)])
-    p = PointedChain(base, desc.element_maps[0][0])
-    assert condition_of(p) == "2b"
-    outer, middle, inner = pointed_decompose(p)
-    assert outer.size == 1
-    assert iso_equal(middle.base, com(1, 0)) and middle.f == 0
-    assert iso_equal(inner, go(2))
-
-
-def test_decompose_puts_a_tail_point_in_the_tail():
-    base, desc = nested_sum([com(0, 0), go(2)])
-    p = PointedChain(base, desc.element_maps[1][0])
-    assert condition_of(p) == "2a"
-    outer, tail = pointed_decompose(p)
-    assert iso_equal(outer, com(0, 0))
-    assert iso_equal(tail.base, go(2)) and tail.f == 0
-
-
-def test_decompose_of_a_seed_is_padded_with_trivial_ends():
-    outer, middle, inner = pointed_decompose(seed_algebra("1b"))
-    assert outer.size == 1 and inner.size == 1
-    assert iso_equal(middle.base, com(0, 0)) and middle.f == 0
-
-
-def test_decompose_rejects_the_unit_point():
-    with pytest.raises(ConditionIsOneA):
-        pointed_decompose(PointedChain(com(1, 1), com(1, 1).unit))
-
-
-def test_decompose_round_trips_through_nested_sum():
-    for p in pointed_pool(5):
-        if condition_of(p) == "1a":
-            continue
-        parts = pointed_decompose(p)
-        if len(parts) == 2:
-            outer, tail = parts
-            rebuilt, desc = nested_sum([outer, tail.base])
-            newf = desc.element_maps[1][tail.f]
-        else:
-            outer, middle, inner = parts
-            rebuilt, desc = nested_sum([outer, middle.base, inner])
-            newf = desc.element_maps[1][middle.f]
-        assert pointed_iso(PointedChain(rebuilt, newf), p)
-
-
-# --- congruences and JSON ------------------------------------------------
-
-
-def test_pointed_congruences_are_the_base_congruences():
-    for p in (PointedChain(com(1, 1), 0), PointedChain(go(3), 2)):
-        assert pointed_congruences(p) == congruences(p.base)
+# --- JSON ----------------------------------------------------------------
 
 
 def test_pointed_json_round_trip():

@@ -209,6 +209,12 @@ def test_reach_grows_monotonically_without_stalling():
         prev, prev_span = cur, hi - lo
 
 
+def test_reach_adds_two_elements_per_step_at_depth():
+    # each step touches only the elements the previous step added
+    got = generated_reach(Periodic((0, 1)), a(0), 2000)
+    assert len(got) == 4001
+
+
 def test_reach_refuses_the_unit_start():
     with pytest.raises(StartIsUnit):
         generated_reach(Periodic((0, 1)), UNIT, 1)
