@@ -185,7 +185,7 @@ def generated_reach(spec: SetSpec, start: ASElement, depth: int) -> frozenset:
     if depth < 0:
         raise ValueError("depth must be a natural")
     reached = {start}
-    frontier = reached
+    frontier = {start}
     for _ in range(depth):
         # only the elements added by the last step can reach new ones
         images = {as_unary(spec, x, which) for x in frontier for which in (ELL, R)}
