@@ -417,7 +417,7 @@ def iso_equal(a: FiniteChain, b: FiniteChain) -> bool:
 TRIVIAL = validate(1, 0, ((0,),), labels=("e",))
 
 
-def enumerate_chains(n: int, filters: Iterable[str] = (), max_size: Optional[int] = None):
+def enumerate_chains(n: int, filters: Iterable[str] = ()):
     """All residuated chains of size n meeting the filters, one per iso class.
 
     The idempotent filter switches to the two-valued search (each product of
@@ -431,7 +431,7 @@ def enumerate_chains(n: int, filters: Iterable[str] = (), max_size: Optional[int
         raise ValueError(f"unknown filters: {sorted(unknown)}")
     if n < 1:
         raise ValueError("size must be at least 1")
-    cap = max_size if max_size is not None else enumeration_cap()
+    cap = enumeration_cap()
     if n > cap:
         raise SizeTooLarge(f"size {n} exceeds the enumeration cap {cap}")
 

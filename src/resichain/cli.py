@@ -12,15 +12,6 @@ import json
 import os
 import sys
 
-from . import zchain
-from .amalgamation import (
-    AmalgamResult,
-    Refuted,
-    amalgamate_components,
-    find_amalgam,
-    span_from_json,
-    verify_amalgam,
-)
 from .chain import (
     ELL,
     LEFT,
@@ -35,21 +26,11 @@ from .chain import (
     residual,
     signature_hex,
 )
-from .classification import ap_verdict, class_members, hs_closure, parse_class
-from .constructors import com, go, nested_sum
-from .decomposition import decompose
 from .errors import MalformedInput, ResichainError, SizeTooLarge
-from .morphisms import (
-    congruence_from_kernel,
-    congruences,
-    enumerate_embeddings,
-    enumerate_homomorphisms,
-    quotient,
-)
-from .pointed import CONDITIONS, condition_of, cross_embedding_count, pointed_from_json
-from .selfcheck import SUITES
-from .words import is_minimal, parse_word, preorder_leq
-from .zchain import as_leq, as_mult, as_residual, as_unary, generated_reach, parse_element
+
+# Only chain and errors load with the CLI. Each handler imports the rest of
+# what it uses, so a light verb does not load the classification,
+# amalgamation and self-check modules.
 
 # operand count of each as-op operation
 ASOP_ARITY = {"mul": 2, "residual": 2, "unary": 1, "leq": 2, "reach": 1}
@@ -133,6 +114,8 @@ def _element(chain: FiniteChain, name: str) -> int:
 
 def parse_make_spec(spec: str) -> FiniteChain:
     """go:N, com:M,N, or sum:PART+PART+... with parts in the same syntax."""
+    from .constructors import com, go, nested_sum
+
     if spec.startswith("sum:"):
         return nested_sum([parse_make_spec(p) for p in spec[4:].split("+")])
     try:
@@ -183,6 +166,8 @@ def cmd_residual(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import decompose
+
     c = _load_chain(args.file)
     sig = decompose(c)
     out = sig.to_json()
@@ -195,6 +180,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .morphisms import enumerate_embeddings
+
     a, b = _load_chain(args.a), _load_chain(args.b)
     maps = enumerate_embeddings(a, b)
     _emit({"count": len(maps), "maps": [m.to_json() for m in maps]}, args)
@@ -202,6 +189,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_homs(args) -> int:
+    from .morphisms import enumerate_homomorphisms
+
     a, b = _load_chain(args.a), _load_chain(args.b)
     maps = enumerate_homomorphisms(a, b)
     _emit({"count": len(maps), "maps": [m.to_json() for m in maps]}, args)
@@ -209,6 +198,8 @@ def cmd_homs(args) -> int:
 
 
 def cmd_congruences(args) -> int:
+    from .morphisms import congruences
+
     c = _load_chain(args.file)
     out = []
     for cong in congruences(c):
@@ -223,6 +214,8 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .morphisms import congruence_from_kernel, quotient
+
     c = _load_chain(args.file)
     try:
         lo_name, hi_name = args.kernel.split(",")
@@ -265,6 +258,15 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_amalgamate(args) -> int:
+    from .amalgamation import (
+        AmalgamResult,
+        Refuted,
+        amalgamate_components,
+        find_amalgam,
+        span_from_json,
+        verify_amalgam,
+    )
+
     span = _decode(span_from_json, _read_json(args.span))
     bound = args.bound if args.bound else span.B.size + span.C.size
     if args.construct:
@@ -277,6 +279,8 @@ def cmd_amalgamate(args) -> int:
     if bound < max(span.B.size, span.C.size):
         _usage_error(f"--bound {bound} is below the span's own chains")
     if args.cls:
+        from .classification import class_members, parse_class
+
         # class_members generates exactly the class, so no membership test
         cls = _parsed(parse_class, args.cls)
         candidates = class_members(cls, max_size=bound)
@@ -312,12 +316,16 @@ def _load_generators(path):
 
 
 def cmd_classify(args) -> int:
+    from .classification import ap_verdict, hs_closure
+
     K = hs_closure(_load_generators(args.generators))
     _emit({"class": None, **ap_verdict(K).as_dict()}, args)
     return 0
 
 
 def cmd_ap(args) -> int:
+    from .classification import ap_verdict, hs_closure, parse_class
+
     if args.cls:
         cls = _parsed(parse_class, args.cls)
         _emit({"ap": True, "class": cls.text()}, args)
@@ -330,6 +338,8 @@ def cmd_ap(args) -> int:
 
 
 def cmd_words(args) -> int:
+    from .words import is_minimal, parse_word, preorder_leq
+
     if args.op == "leq":
         if args.w2 is None:
             _usage_error("words leq needs two words")
@@ -349,6 +359,10 @@ def cmd_words(args) -> int:
 
 
 def cmd_asop(args) -> int:
+    from . import zchain
+    from .words import parse_word
+    from .zchain import as_leq, as_mult, as_residual, as_unary, generated_reach, parse_element
+
     spec = _parsed(parse_word, args.set)
     op = args.op
     operands = [_parsed(parse_element, t) for t in args.elements]
@@ -372,12 +386,16 @@ def cmd_asop(args) -> int:
 
 
 def cmd_pcondition(args) -> int:
+    from .pointed import condition_of, pointed_from_json
+
     p = _decode(pointed_from_json, _read_json(args.file))
     _emit({"condition": condition_of(p)}, args)
     return 0
 
 
 def cmd_ppartition(args) -> int:
+    from .pointed import CONDITIONS, condition_of, cross_embedding_count, pointed_from_json
+
     try:
         names = sorted(n for n in os.listdir(args.dir) if n.endswith(".json"))
     except OSError as exc:
@@ -395,6 +413,8 @@ def cmd_ppartition(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .selfcheck import SUITES
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -557,6 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        enumeration_cap()
+    except ValueError as exc:  # a bad RESICHAIN_MAX_SIZE
+        _usage_error(str(exc))
     try:
         return args.handler(args)
     except ResichainError as exc:

@@ -210,19 +210,60 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
         "INFINITE": str(infinite),
         "MISSING": str(tmp_path / "missing"),
     }
-    env = dict(os.environ, PYTHONPATH=str(Path(resichain.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "resichain.cli", *[files.get(a, a) for a in argv]],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_interpreter(["-m", "resichain.cli", *[files.get(a, a) for a in argv]], stdin)
     assert proc.returncode == want
     assert "Traceback" not in proc.stderr
     if want == 1:
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "MalformedInput"
+
+
+def run_interpreter(args, stdin=None, **env):
+    """Run a fresh interpreter that imports resichain from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(resichain.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "cap,argv",
+    [("abc", ["enumerate", "3"]), ("0", ["verify", "lemma:star-involution", "--max-size", "1"])],
+)
+def test_a_bad_enumeration_cap_is_a_usage_error(cap, argv):
+    proc = run_interpreter(["-m", "resichain.cli", *argv], RESICHAIN_MAX_SIZE=cap)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "RESICHAIN_MAX_SIZE" in proc.stderr
+    assert proc.stdout == ""
+
+
+# main(argv) in a fresh interpreter; prints the exit code and the resichain
+# modules the call loaded
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from resichain.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("resichain"))]))
+"""
+
+
+def test_light_verbs_load_only_the_modules_they_use(tmp_path):
+    light = [
+        ["check", chain_file(tmp_path, com(1, 1))],
+        ["make", "com:1,1"],
+        ["words", "leq", "per:01", "per:0"],
+        ["as-op", "--set", "per:01", "mul", "a:0", "b:1"],
+    ]
+    heavy = {f"resichain.{m}" for m in ("classification", "amalgamation", "selfcheck", "pointed")}
+    for argv in light:
+        proc = run_interpreter(["-c", LOADED_MODULES, *argv])
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0, (argv, proc.stderr)
+        assert not heavy & set(loaded), (argv, loaded)
+        if argv[0] == "check":
+            assert loaded == ["resichain", "resichain.chain", "resichain.cli", "resichain.errors"]
 
 
 # --- amalgamation and classification ---------------------------------------
