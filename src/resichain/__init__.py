@@ -27,7 +27,7 @@ _EXPORTS = {
         "zchain": """ASElement UNIT as_leq as_mult as_residual as_unary generated_reach
             parse_element window_residual_oracle""",
         "amalgamation": """AmalgamResult BoundExhausted Refuted Span amalgamate_components
-            find_amalgam span_from_json verify_amalgam""",
+            canonical_order find_amalgam span_from_json spans_over verify_amalgam""",
         "classification": """CanonicalClass ChainClass HasAP NoAP OMEGA RuleViolation
             all_sixty ap_verdict class_members class_signatures classify
             closure_rule_violations find_refuting_span hs_closure member_of

@@ -6,8 +6,7 @@ one-sided variant. find_amalgam searches candidate codomains
 exhaustively in canonical order; amalgamate_components instead builds
 the completion directly for spans of Gödel chains or of two-sided
 chains by zipping the two element lists around the images of the common
-chain. merge_nested_span lifts that idea to whole nested-sum
-descriptors sharing labeled summands.
+chain.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .chain import FiniteChain, chain_from_json, enumerate_chains, enumeration_cap
 from .constructors import com, go
@@ -30,6 +29,7 @@ from .errors import (
 from .morphisms import (
     ChainMap,
     embedding_images,
+    enumerate_embeddings,
     homomorphism_images,
     is_embedding,
     is_homomorphism,
@@ -62,6 +62,22 @@ class Span:
             "iB": list(self.i_B.image),
             "iC": list(self.i_C.image),
         }
+
+
+def spans_over(chains: Sequence[FiniteChain]) -> Iterator[Span]:
+    """Every span over a list of chains: A, then B, then C in list order,
+    then i_B and i_C lexicographically. A B that A does not embed into is
+    skipped before any C is tried."""
+    for a in chains:
+        for b in chains:
+            legs_b = enumerate_embeddings(a, b)
+            if not legs_b:
+                continue
+            for c in chains:
+                legs_c = enumerate_embeddings(a, c)
+                for i_b in legs_b:
+                    for i_c in legs_c:
+                        yield Span(a, b, c, i_b, i_c)
 
 
 def span_from_json(data: dict) -> Span:
@@ -141,10 +157,12 @@ class CandidatePool(list):
 
     def __init__(self, chains: Iterable[FiniteChain] = ()):
         super().__init__(chains)
-        self.canonical = _canonical_order(self)
+        self.canonical = canonical_order(self)
 
 
-def _canonical_order(chains: Iterable[FiniteChain]) -> list:
+def canonical_order(chains: Iterable[FiniteChain]) -> list:
+    """One chain per signature (the first listed), sorted by size, then
+    by signature."""
     firsts = {}
     for d in chains:
         firsts.setdefault(d.signature, d)
@@ -192,7 +210,7 @@ def find_amalgam(
     if size_bound < max(B.size, C.size):
         raise ValueError("size_bound cannot be below the span's own chains")
     pool = _default_candidates(size_bound) if candidates is None else candidates
-    order = pool.canonical if isinstance(pool, CandidatePool) else _canonical_order(pool)
+    order = pool.canonical if isinstance(pool, CandidatePool) else canonical_order(pool)
     on_a_via_b = itemgetter(*span.i_B.image)
     on_a_via_c = itemgetter(*span.i_C.image)
     legs_into = homomorphism_images if one_sided else embedding_images

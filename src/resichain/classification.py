@@ -25,8 +25,8 @@ from .chain import (
 )
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
-from .morphisms import congruences, enumerate_embeddings, quotient
-from .amalgamation import CandidatePool, Refuted, Span, find_amalgam
+from .morphisms import congruences, quotient
+from .amalgamation import CandidatePool, Refuted, Span, canonical_order, find_amalgam, spans_over
 
 OMEGA = float("inf")
 PARAM_VALUES = (0, 1, OMEGA)
@@ -126,35 +126,22 @@ class CanonicalClass:
 
 def parse_class(text: str) -> CanonicalClass:
     """Parse `e:P`, `fin:M,P,N`, `inf:M,P,N`, `fin:M,0,N+e:P`, or
-    `inf:0,0,N+e:P` with `w` standing for ω."""
-    text = text.strip()
-    parts = text.split("+")
-    if len(parts) == 1:
-        head = parts[0]
-        if head.startswith("e:"):
-            return CanonicalClass(E_FAMILY, p=parse_param(head[2:]))
-        for family in (FIN, INF):
-            if head.startswith(family + ":"):
-                vals = head[len(family) + 1 :].split(",")
-                if len(vals) != 3:
-                    raise ValueError("expected three parameters")
-                m, p, n = (parse_param(v) for v in vals)
-                return CanonicalClass(family, m=m, n=n, p=p)
-        raise ValueError(f"unrecognized class syntax: {text!r}")
-    if len(parts) == 2 and parts[1].startswith("e:"):
-        p = parse_param(parts[1][2:])
-        head = parts[0]
-        for family, union in ((FIN, FIN_UNION_E), (INF, INF_UNION_E)):
-            if head.startswith(family + ":"):
-                vals = head[len(family) + 1 :].split(",")
-                if len(vals) != 3:
-                    raise ValueError("expected three parameters")
-                m, zero, n = (parse_param(v) for v in vals)
-                if zero != 0:
-                    raise ValueError("the union form fixes the middle parameter to 0")
-                if union == INF_UNION_E and m != 0:
-                    raise ValueError("the union form fixes m = 0")
-                return CanonicalClass(union, m=m, n=n, p=p)
+    `inf:0,0,N+e:P` with `w` standing for ω. CanonicalClass enforces each
+    family's own parameter rules."""
+    head, *tail = text.strip().split("+")
+    family, _, params = head.partition(":")
+    values = [parse_param(v) for v in params.split(",")]
+    if family == E_FAMILY and len(values) == 1 and not tail:
+        return CanonicalClass(E_FAMILY, p=values[0])
+    if family in (FIN, INF) and len(values) == 3:
+        m, p, n = values
+        if not tail:
+            return CanonicalClass(family, m=m, n=n, p=p)
+        if len(tail) == 1 and tail[0].startswith("e:"):
+            if p != 0:
+                raise ValueError("the union form fixes the middle parameter to 0")
+            family = FIN_UNION_E if family == FIN else INF_UNION_E
+            return CanonicalClass(family, m=m, n=n, p=parse_param(tail[0][2:]))
     raise ValueError(f"unrecognized class syntax: {text!r}")
 
 
@@ -260,13 +247,7 @@ class ChainClass:
 
     @classmethod
     def from_chains(cls, chains: Iterable[FiniteChain]) -> "ChainClass":
-        seen = {}
-        for c in chains:
-            seen.setdefault(canonical_signature(c), c)
-        members = tuple(
-            sorted(seen.values(), key=lambda c: (c.size, canonical_signature(c)))
-        )
-        return cls(members=members)
+        return cls(members=tuple(canonical_order(chains)))
 
     def signatures(self) -> frozenset:
         return frozenset(decompose(c) for c in self.members)
@@ -342,6 +323,10 @@ _RULE_TEXT = {
 }
 
 
+# the largest conclusion the closure-rule audit instantiates
+_AUDIT_SIZE_CAP = 9
+
+
 @lru_cache(maxsize=None)
 def _signature(pairs: tuple, q: int) -> DecompositionSignature:
     return DecompositionSignature(pairs, q)
@@ -367,17 +352,18 @@ class RuleViolation:
         }
 
 
-def closure_rule_violations(K: ChainClass, size_cap: int = 9) -> tuple:
+def closure_rule_violations(K: ChainClass) -> tuple:
     """Audit of the seven closure consequences of amalgamability, checked
-    on every instantiation whose conclusion stays within size_cap. Equal
-    signatures and equal violations come back as one shared object."""
+    on every instantiation whose conclusion has at most _AUDIT_SIZE_CAP
+    elements. Equal signatures and equal violations come back as one
+    shared object."""
     sigs = K.signatures()
     found = []
     seen = set()
 
     def require(rule: str, premises: tuple, pairs: tuple, q: int) -> None:
         cand = _signature(pairs, q)
-        if cand.size > size_cap or cand in sigs:
+        if cand.size > _AUDIT_SIZE_CAP or cand in sigs:
             return
         key = (rule, cand)
         if key in seen:
@@ -391,7 +377,7 @@ def closure_rule_violations(K: ChainClass, size_cap: int = 9) -> tuple:
     for sig in sigs:
         if sig.p == 2:
             n = 1
-            while sum(r + s + 2 for r, s in sig.pairs) + n + 1 <= size_cap:
+            while sum(r + s + 2 for r, s in sig.pairs) + n + 1 <= _AUDIT_SIZE_CAP:
                 require("i", texts(sig), sig.pairs, n)
                 n += 1
         if len(sig.pairs) >= 2 and sig.pairs[0] == (0, 0) and sig.pairs[1] == (0, 0):
@@ -399,19 +385,19 @@ def closure_rule_violations(K: ChainClass, size_cap: int = 9) -> tuple:
             k = 1
             while True:
                 pairs = ((0, 0),) * k + rest
-                if sum(r + s + 2 for r, s in pairs) + sig.p + 1 > size_cap:
+                if sum(r + s + 2 for r, s in pairs) + sig.p + 1 > _AUDIT_SIZE_CAP:
                     break
                 require("ii", texts(sig), pairs, sig.p)
                 k += 1
         if len(sig.pairs) == 1 and sig.p == 0:
             (r, s) = sig.pairs[0]
             if r == 2:
-                for m in range(0, size_cap - s - 2 + 1):
+                for m in range(0, _AUDIT_SIZE_CAP - s - 2 + 1):
                     require("iii", texts(sig), ((m, s),), 0)
-                for m in range(0, size_cap):
+                for m in range(0, _AUDIT_SIZE_CAP):
                     require("iii", texts(sig), (), m)
             if s == 2:
-                for n in range(0, size_cap - r - 2 + 1):
+                for n in range(0, _AUDIT_SIZE_CAP - r - 2 + 1):
                     require("iv", texts(sig), ((r, n),), 0)
         for i, pair in enumerate(sig.pairs):
             if pair != (0, 0):
@@ -419,20 +405,20 @@ def closure_rule_violations(K: ChainClass, size_cap: int = 9) -> tuple:
             for other in sigs:
                 if len(other.pairs) == 1 and other.p == 0:
                     swapped = sig.pairs[:i] + (other.pairs[0],) + sig.pairs[i + 1 :]
-                    if sum(r + s + 2 for r, s in swapped) + sig.p + 1 <= size_cap:
+                    if sum(r + s + 2 for r, s in swapped) + sig.p + 1 <= _AUDIT_SIZE_CAP:
                         require("vi", texts(sig, other), swapped, sig.p)
         if sig.p == 1:
             for other in sigs:
                 if other.pairs == ():
                     pairs_weight = sum(r + s + 2 for r, s in sig.pairs)
-                    if pairs_weight + other.p + 1 <= size_cap:
+                    if pairs_weight + other.p + 1 <= _AUDIT_SIZE_CAP:
                         require("vii", texts(sig, other), sig.pairs, other.p)
     for s1 in sigs:
         if len(s1.pairs) == 1 and s1.p == 0 and s1.pairs[0][1] == 0:
             for s2 in sigs:
                 if len(s2.pairs) == 1 and s2.p == 0 and s2.pairs[0][0] == 0:
                     m, n = s1.pairs[0][0], s2.pairs[0][1]
-                    if m + n + 3 <= size_cap:
+                    if m + n + 3 <= _AUDIT_SIZE_CAP:
                         require("v", texts(s1, s2), ((m, n),), 0)
     order = {r: i for i, r in enumerate(["i", "ii", "iii", "iv", "v", "vi", "vii"])}
     found.sort(key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p))
@@ -462,35 +448,17 @@ class NoAP:
 
 
 def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]]:
-    """First span over K (canonical order) with no one-sided completion
-    in K; the search per span is complete because K lists every member."""
+    """First span over K (spans_over order) with no one-sided completion
+    in K. The candidate pool is K itself, so every candidate is a member
+    and the search per span is complete."""
     members = CandidatePool(K.members)
-    sig_set = {canonical_signature(c) for c in members}
     bound = max(c.size for c in members)
-
-    def membership(d: FiniteChain) -> bool:
-        return canonical_signature(d) in sig_set
-
-    for a in members:
-        for bb in members:
-            embs_b = enumerate_embeddings(a, bb)
-            if not embs_b:
-                continue
-            for cc in members:
-                embs_c = enumerate_embeddings(a, cc)
-                for ib in embs_b:
-                    for ic in embs_c:
-                        span = Span(a, bb, cc, ib, ic)
-                        res = find_amalgam(
-                            span,
-                            membership,
-                            max(bound, bb.size, cc.size),
-                            one_sided=True,
-                            complete=True,
-                            candidates=members,
-                        )
-                        if isinstance(res, Refuted):
-                            return span, res
+    for span in spans_over(members):
+        res = find_amalgam(
+            span, lambda d: True, bound, one_sided=True, complete=True, candidates=members
+        )
+        if isinstance(res, Refuted):
+            return span, res
     return None, None
 
 

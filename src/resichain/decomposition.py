@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .chain import STAR, FiniteChain, derived, predicates
+from .chain import FiniteChain, predicates
 from .constructors import com, go, nested_sum
 from .errors import NotCommutative, NotIdempotent
 
@@ -57,42 +57,35 @@ def _require_commutative_idempotent(chain: FiniteChain) -> None:
         raise NotIdempotent()
 
 
-def _star_star(chain: FiniteChain, x: int) -> int:
-    return derived(chain, derived(chain, x, STAR), STAR)
-
-
 def sugihara_skeleton(chain: FiniteChain) -> tuple:
     """Fixpoints of the double unit residual, in chain order. Always odd
     in count, and the induced subalgebra is the odd Sugihara chain of
     that size."""
-    _require_commutative_idempotent(chain)
-    return tuple(x for x in chain.elements() if _star_star(chain, x) == x)
+    return tuple(b for b, _ in skeleton_blocks(chain))
 
 
 def skeleton_blocks(chain: FiniteChain) -> list:
-    """Pairs (fixpoint b, interval of elements retracting onto b). The
-    intervals partition the chain."""
+    """Pairs (fixpoint b, interval of elements retracting onto b), in
+    chain order. The intervals partition the chain. The double unit
+    residual is a retraction, so the points it hits are its fixpoints."""
     _require_commutative_idempotent(chain)
-    fix = sugihara_skeleton(chain)
-    blocks = {b: [] for b in fix}
+    star = chain.tables.star
+    blocks = {}
     for x in chain.elements():
-        blocks[_star_star(chain, x)].append(x)
-    return [(b, tuple(blocks[b])) for b in fix]
+        blocks.setdefault(star[star[x]], []).append(x)
+    return [(b, tuple(blocks[b])) for b in sorted(blocks)]
 
 
 def decompose(chain: FiniteChain) -> DecompositionSignature:
     """Unique normal form: fiber sizes over the i-th skeleton point below
     the unit and the i-th above it (counting outward) give (m_i, n_i);
     the fiber over the unit gives the tail."""
-    blocks = dict(skeleton_blocks(chain))
-    u = chain.unit
-    below = sorted(b for b in blocks if b < u)
-    above = sorted((b for b in blocks if b > u), reverse=True)
+    blocks = skeleton_blocks(chain)
+    k = sum(b < chain.unit for b, _ in blocks)
+    below, above = blocks[:k], blocks[k + 1 :][::-1]
     assert len(below) == len(above), "skeleton must be symmetric around e"
-    pairs = tuple(
-        (len(blocks[b]) - 1, len(blocks[a]) - 1) for b, a in zip(below, above)
-    )
-    return DecompositionSignature(pairs=pairs, p=len(blocks[u]) - 1)
+    pairs = tuple((len(lo) - 1, len(hi) - 1) for (_, lo), (_, hi) in zip(below, above))
+    return DecompositionSignature(pairs=pairs, p=len(blocks[k][1]) - 1)
 
 
 @lru_cache(maxsize=None)

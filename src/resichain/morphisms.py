@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .chain import FiniteChain, signature_hex, validate
 
@@ -91,20 +91,13 @@ def is_embedding(h: ChainMap) -> bool:
     return is_homomorphism(h)
 
 
-def _embeddings_images(
-    a: FiniteChain, b: FiniteChain, forced: Optional[dict] = None
-) -> Iterable[tuple]:
+def _embeddings_images(a: FiniteChain, b: FiniteChain) -> Iterable[tuple]:
     """Backtracking enumeration of embedding image tuples, lexicographic.
 
-    forced maps domain elements to required images; used to pin partial
-    data before searching. Candidates respect order and the unit; closure
-    under the unit residuals is checked as each image is placed
-    (idempotent case) or at the leaf (general case).
+    Candidates respect order and the unit; closure under the unit
+    residuals is checked as each image is placed (idempotent case) or at
+    the leaf (general case).
     """
-    forced = dict(forced or {})
-    if forced.get(a.unit, b.unit) != b.unit:
-        return
-    forced[a.unit] = b.unit
     ta, tb = a.tables, b.tables
     both_idem = ta.predicates.idempotent and tb.predicates.idempotent
     images: list = [None] * a.size
@@ -132,8 +125,8 @@ def _embeddings_images(
                 if is_homomorphism(ChainMap(a, b, tuple(images))):
                     yield tuple(images)
             return
-        if x in forced:
-            choices = [forced[x]] if forced[x] >= low else []
+        if x == a.unit:
+            choices = [b.unit] if b.unit >= low else []
         else:
             hi = b.size - (a.size - x)  # leave room for the rest
             choices = range(low, hi + 1)
@@ -158,12 +151,8 @@ def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
     return tuple(_IMAGES.setdefault(f, f) for f in _embeddings_images(a, b))
 
 
-def enumerate_embeddings(
-    a: FiniteChain, b: FiniteChain, forced: Optional[dict] = None
-) -> list:
-    if forced is None:
-        return [ChainMap(a, b, f) for f in embedding_images(a, b)]
-    return [ChainMap(a, b, f) for f in _embeddings_images(a, b, forced)]
+def enumerate_embeddings(a: FiniteChain, b: FiniteChain) -> list:
+    return [ChainMap(a, b, f) for f in embedding_images(a, b)]
 
 
 def embeds(a: FiniteChain, b: FiniteChain) -> bool:

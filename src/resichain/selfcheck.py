@@ -18,8 +18,8 @@ from .amalgamation import (
     AmalgamResult,
     BoundExhausted,
     Refuted,
-    Span,
     amalgamate_components,
+    spans_over,
     verify_amalgam,
 )
 from .chain import (
@@ -193,20 +193,15 @@ def reference_find_amalgam(
         jbs = enumerate_embeddings(span.B, d)
         if not jbs:
             continue
-        homs = enumerate_homomorphisms(span.C, d) if one_sided else None
+        legs = (enumerate_homomorphisms if one_sided else enumerate_embeddings)(span.C, d)
         for jb in jbs:
             forced = {
                 span.i_C.image[x]: jb.image[span.i_B.image[x]]
                 for x in range(span.A.size)
             }
-            if one_sided:
-                legs = [
-                    h for h in homs if all(h.image[k] == v for k, v in forced.items())
-                ]
-            else:
-                legs = enumerate_embeddings(span.C, d, forced)
             for jc in legs:
-                return AmalgamResult(D=d, j_B=jb, j_C=jc, one_sided=one_sided)
+                if all(jc.image[k] == v for k, v in forced.items()):
+                    return AmalgamResult(D=d, j_B=jb, j_C=jc, one_sided=one_sided)
     if complete:
         return Refuted(checked=checked)
     return BoundExhausted(size_bound=size_bound)
@@ -376,24 +371,16 @@ def suite_component_amalgams(max_size: int, seed: int, jobs: int):
         for n in range(0, max_size)
         if m + n + 3 <= max_size
     ]
-    for a in pool:
-        for bb in pool:
-            embs_b = enumerate_embeddings(a, bb)
-            if not embs_b:
-                continue
-            for cc in pool:
-                for ib in embs_b:
-                    for ic in enumerate_embeddings(a, cc):
-                        span = Span(a, bb, cc, ib, ic)
-                        try:
-                            res = amalgamate_components(span)
-                        except ResichainError:
-                            continue
-                        checked += 1
-                        if not verify_amalgam(span, res):
-                            failures.append(f"bad certificate for span over {a!r}")
-                        if res.D.size > bb.size + cc.size - a.size:
-                            failures.append(f"oversized amalgam for span over {a!r}")
+    for span in spans_over(pool):
+        try:
+            res = amalgamate_components(span)
+        except ResichainError:
+            continue
+        checked += 1
+        if not verify_amalgam(span, res):
+            failures.append(f"bad certificate for span over {span.A!r}")
+        if res.D.size > span.B.size + span.C.size - span.A.size:
+            failures.append(f"oversized amalgam for span over {span.A!r}")
     return checked, failures
 
 

@@ -23,9 +23,9 @@ from resichain import (
 from resichain.amalgamation import (
     AmalgamResult,
     ShapeMismatch,
-    Span,
     amalgamate_components,
     find_amalgam,
+    spans_over,
     verify_amalgam,
 )
 from resichain.classification import (
@@ -40,7 +40,6 @@ from resichain.classification import (
 )
 from resichain.constructors import com, go
 from resichain.decomposition import count_chains, decompose
-from resichain.morphisms import enumerate_embeddings
 from resichain.pointed import (
     CONDITIONS,
     condition_of,
@@ -82,40 +81,25 @@ def test_acceptance_02_every_small_span_amalgamates_inside_its_class():
     for cls in all_sixty():
         members = class_members(cls, 6)
         pool = class_members(cls, 12)
-        for A in members:
-            for B in members:
-                legs_b = enumerate_embeddings(A, B)
-                if not legs_b:
-                    continue
-                for C in members:
-                    legs_c = enumerate_embeddings(A, C)
-                    for i_b in legs_b:
-                        for i_c in legs_c:
-                            span = Span(A, B, C, i_b, i_c)
-                            bound = B.size + C.size
-                            res = find_amalgam(
-                                span,
-                                lambda d: True,
-                                bound,
-                                one_sided=True,
-                                candidates=pool,
-                            )
-                            detail = (cls.text(), i_b.image, i_c.image)
-                            assert isinstance(res, AmalgamResult), detail
-                            assert verify_amalgam(span, res), detail
-                            assert res.D.size <= bound, detail
-                            # the pool is the member list, but recheck the
-                            # certificate against the class definition anyway
-                            assert sig_in_class(decompose(res.D), cls), detail
-                            try:
-                                cons = amalgamate_components(span)
-                            except ShapeMismatch:
-                                cons = None
-                            if cons is not None:
-                                assert verify_amalgam(span, cons), detail
-                                assert cons.D.size <= bound, detail
-                                constructive += 1
-                            total += 1
+        for span in spans_over(members):
+            bound = span.B.size + span.C.size
+            res = find_amalgam(span, lambda d: True, bound, one_sided=True, candidates=pool)
+            detail = (cls.text(), span.i_B.image, span.i_C.image)
+            assert isinstance(res, AmalgamResult), detail
+            assert verify_amalgam(span, res), detail
+            assert res.D.size <= bound, detail
+            # the pool is the member list, but recheck the
+            # certificate against the class definition anyway
+            assert sig_in_class(decompose(res.D), cls), detail
+            try:
+                cons = amalgamate_components(span)
+            except ShapeMismatch:
+                cons = None
+            if cons is not None:
+                assert verify_amalgam(span, cons), detail
+                assert cons.D.size <= bound, detail
+                constructive += 1
+            total += 1
     assert total > 70000
     assert constructive > 10000
     assert time.monotonic() - t0 < 1800

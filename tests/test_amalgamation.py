@@ -1,5 +1,6 @@
 """Spans, exhaustive amalgam search and constructive amalgamators."""
 
+import itertools
 import random
 
 import pytest
@@ -16,16 +17,18 @@ from resichain import (
     amalgamate_components,
     canonical_signature,
     decompose,
+    enumerate_chains,
     enumerate_embeddings,
     find_amalgam,
     iso_equal,
     predicates,
     span_from_json,
+    spans_over,
     verify_amalgam,
 )
 from resichain.classification import all_sixty, class_members, hs_closure, parse_class
 from resichain.constructors import com, go
-from resichain.selfcheck import reference_find_amalgam
+from resichain.selfcheck import definitional_embedding, reference_find_amalgam, residual_tables
 
 
 def inclusion(a, b, image):
@@ -74,6 +77,28 @@ def test_span_json_round_trip():
     assert back.i_B.image == span.i_B.image
     assert back.i_C.image == span.i_C.image
     assert canonical_signature(back.A) == canonical_signature(span.A)
+
+
+def test_spans_over_walks_every_span_once_in_order():
+    chains = [c for n in range(1, 5) for c in enumerate_chains(n, ("commutative", "idempotent"))]
+    tables = {c: residual_tables(c) for c in chains}
+
+    def legs(a, b):
+        return [
+            image
+            for image in itertools.combinations(range(b.size), a.size)
+            if definitional_embedding(a, b, image, tables[a], tables[b])
+        ]
+
+    want = [
+        (a, b, c, i_b, i_c)
+        for a, b, c in itertools.product(chains, repeat=3)
+        for i_b in legs(a, b)
+        for i_c in legs(a, c)
+    ]
+    got = [(s.A, s.B, s.C, s.i_B.image, s.i_C.image) for s in spans_over(chains)]
+    assert len(want) > len(chains) ** 2
+    assert got == want
 
 
 # --- exhaustive search ---------------------------------------------------
@@ -284,20 +309,6 @@ def assert_same_outcome(got, want):
         assert got.to_json() == want.to_json()
     else:
         assert got == want
-
-
-def spans_over(members):
-    """Every span over a member list, in the order the gate walks them."""
-    for a in members:
-        for b in members:
-            legs_b = enumerate_embeddings(a, b)
-            if not legs_b:
-                continue
-            for c in members:
-                legs_c = enumerate_embeddings(a, c)
-                for i_b in legs_b:
-                    for i_c in legs_c:
-                        yield Span(a, b, c, i_b, i_c)
 
 
 def test_search_matches_the_reference_on_criterion_2_spans():

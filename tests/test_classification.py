@@ -228,7 +228,7 @@ def test_rule_audit_flags_the_short_tail():
 def test_rule_audit_is_clean_on_every_canonical_class():
     for cls in all_sixty():
         K = ChainClass.from_chains(class_members(cls, 9))
-        assert closure_rule_violations(K, 9) == ()
+        assert closure_rule_violations(K) == ()
 
 
 # --- AP verdicts ---------------------------------------------------------
