@@ -19,7 +19,7 @@ label variants of one table are equal and hash alike.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidChainError, SizeTooLarge, Violation
@@ -29,8 +29,6 @@ RIGHT = "right"
 ELL = "ell"
 R = "r"
 STAR = "star"
-
-KNOWN_FILTERS = frozenset({"commutative", "idempotent", "star_involutive"})
 
 DEFAULT_MAX_SIZE = 7
 _ENV_MAX_SIZE = "RESICHAIN_MAX_SIZE"
@@ -261,6 +259,9 @@ class ChainPredicates:
         }
 
 
+KNOWN_FILTERS = frozenset(f.name for f in fields(ChainPredicates))
+
+
 class ChainTables(NamedTuple):
     """What a chain derives from its table, built once per chain.
 
@@ -420,10 +421,12 @@ TRIVIAL = validate(1, 0, ((0,),), labels=("e",))
 def enumerate_chains(n: int, filters: Iterable[str] = ()):
     """All residuated chains of size n meeting the filters, one per iso class.
 
-    The idempotent filter switches to the two-valued search (each product of
-    distinct elements is one of its arguments); without it the search ranges
-    over full tables and is only practical for small n. Results are sorted by
-    canonical signature.
+    A filter is a field name of ChainPredicates; a chain is kept when every
+    requested predicate holds. One backtracking search fills the table;
+    commutative and idempotent also narrow it (see _search), which is what
+    makes idempotent sizes past 7 practical. Without idempotent the search
+    ranges over full tables and is only practical for small n. Results are
+    sorted by canonical signature.
     """
     filters = frozenset(filters)
     unknown = filters - KNOWN_FILTERS
@@ -435,33 +438,73 @@ def enumerate_chains(n: int, filters: Iterable[str] = ()):
     if n > cap:
         raise SizeTooLarge(f"size {n} exceeds the enumeration cap {cap}")
 
-    if n == 1:
-        return [TRIVIAL]
-
-    results = []
+    results = [TRIVIAL] if n == 1 else []
     for unit in range(1, n):
-        if "idempotent" in filters:
-            _search_idempotent(n, unit, "commutative" in filters, results)
-        else:
-            _search_general(n, unit, results)
-
-    if "commutative" in filters and "idempotent" not in filters:
-        results = [c for c in results if predicates(c).commutative]
-    if "star_involutive" in filters:
-        results = [c for c in results if predicates(c).star_involutive]
+        _search(n, unit, "idempotent" in filters, "commutative" in filters, results)
+    results = [c for c in results if all(getattr(predicates(c), f) for f in filters)]
     results.sort(key=canonical_signature)
     return results
 
 
-def _forced_table(n: int, unit: int):
-    """Start a table with bottom, unit and the diagonal-free forced cells."""
+def _search(n: int, unit: int, idempotent: bool, commutative: bool, results: list) -> None:
+    """Append to results every chain of size n with this unit.
+
+    The bottom and unit rows and columns are fixed; the free cells are placed
+    in order of their larger coordinate k. With idempotent the diagonal is
+    fixed too and x*y is drawn from {x, y}; otherwise from 0..n-1. With
+    commutative only the cells with x <= y are placed, each mirrored. Every
+    value must keep its row and column monotone, and once the last cell of k
+    is placed, the triples involving k must associate wherever their entries
+    are set. validate() alone judges each complete table.
+    """
     t = [[None] * n for _ in range(n)]
     for x in range(n):
-        t[x][0] = 0
-        t[0][x] = 0
-        t[unit][x] = x
-        t[x][unit] = x
-    return t
+        t[x][0] = t[0][x] = 0
+        t[unit][x] = t[x][unit] = x
+        if idempotent:
+            t[x][x] = x
+    free = [x for x in range(1, n) if x != unit]
+    cells = sorted(
+        ((x, y) for x in free for y in free
+         if not (idempotent and x == y) and not (commutative and x > y)),
+        key=lambda c: (max(c), c),
+    )
+
+    def assoc_ok(k: int) -> bool:
+        members = [x for x in range(n) if x <= k or x == unit]
+        for a in members:
+            for b in members:
+                ab = t[a][b]
+                for c in members if k in (a, b) else (k,):
+                    bc = t[b][c]
+                    if ab is None or bc is None:
+                        continue
+                    left, right = t[ab][c], t[a][bc]
+                    if left is not None and right is not None and left != right:
+                        return False
+        return True
+
+    def place(i: int) -> None:
+        if i == len(cells):
+            try:
+                results.append(validate(n, unit, t))
+            except InvalidChainError:
+                pass
+            return
+        x, y = cells[i]
+        k = max(x, y)
+        last_for_k = i + 1 == len(cells) or max(cells[i + 1]) != k
+        for v in (x, y) if idempotent else range(n):
+            t[x][y] = v
+            if commutative:
+                t[y][x] = v
+            if _row_col_ok(t, x, y, n) and (not last_for_k or assoc_ok(k)):
+                place(i + 1)
+        t[x][y] = None
+        if commutative:
+            t[y][x] = None
+
+    place(0)
 
 
 def _row_col_ok(t, x: int, y: int, n: int) -> bool:
@@ -488,101 +531,3 @@ def _row_col_ok(t, x: int, y: int, n: int) -> bool:
                 return False
             break
     return True
-
-
-def _assoc_ok_over(t, members) -> bool:
-    for x in members:
-        for y in members:
-            v = t[x][y]
-            if v is None:
-                continue
-            for z in members:
-                if t[y][z] is None or t[v][z] is None or t[x][t[y][z]] is None:
-                    continue
-                if t[v][z] != t[x][t[y][z]]:
-                    return False
-    return True
-
-
-def _search_idempotent(n: int, unit: int, commutative: bool, results: list) -> None:
-    table = _forced_table(n, unit)
-    for x in range(n):
-        table[x][x] = x
-    free = [x for x in range(1, n) if x != unit]
-    pairs = [(x, k) for k in free for x in free if x < k]
-
-    def assoc_new(k: int) -> bool:
-        # Check triples that involve the newest element k; entries on the
-        # prefix {0..k} plus unit row/col are all present at this point.
-        members = list(range(k + 1))
-        if unit > k:
-            members.append(unit)
-        for a in members:
-            for bjs in members:
-                ab = table[a][bjs]
-                for c in members:
-                    if k not in (a, bjs, c):
-                        continue
-                    bc = table[bjs][c]
-                    if table[ab][c] != table[a][bc]:
-                        return False
-        return True
-
-    def place(i: int) -> None:
-        if i == len(pairs):
-            chain = validate(n, unit, [row[:] for row in table])
-            results.append(chain)
-            return
-        x, k = pairs[i]
-        last_for_k = (i + 1 == len(pairs)) or pairs[i + 1][1] != k
-        for vxy in (x, k):
-            table[x][k] = vxy
-            if not _row_col_ok(table, x, k, n):
-                continue
-            choices = (vxy,) if commutative else (x, k)
-            for vyx in choices:
-                table[k][x] = vyx
-                if not _row_col_ok(table, k, x, n):
-                    continue
-                if last_for_k and not assoc_new(k):
-                    continue
-                place(i + 1)
-            table[k][x] = None
-        table[x][k] = None
-
-    place(0)
-
-
-def _search_general(n: int, unit: int, results: list) -> None:
-    table = _forced_table(n, unit)
-    free = [x for x in range(1, n) if x != unit]
-    cells = [(x, y) for k in free for x in free for y in free
-             if max(x, y) == k and (x <= k and y <= k)]
-    # Order cells so that all cells with max coordinate k come before k+1.
-    cells = sorted(set(cells), key=lambda c: (max(c), c))
-
-    def place(i: int) -> None:
-        if i == len(cells):
-            try:
-                chain = validate(n, unit, [row[:] for row in table])
-            except InvalidChainError:
-                return
-            results.append(chain)
-            return
-        x, y = cells[i]
-        k = max(x, y)
-        last_for_k = (i + 1 == len(cells)) or max(cells[i + 1]) != k
-        for v in range(n):
-            table[x][y] = v
-            if not _row_col_ok(table, x, y, n):
-                continue
-            if last_for_k:
-                members = list(range(k + 1))
-                if unit > k:
-                    members.append(unit)
-                if not _assoc_ok_over(table, members):
-                    continue
-            place(i + 1)
-        table[x][y] = None
-
-    place(0)

@@ -14,6 +14,7 @@ import sys
 
 from .chain import (
     ELL,
+    KNOWN_FILTERS,
     LEFT,
     R,
     RIGHT,
@@ -237,16 +238,7 @@ def cmd_quotient(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.size < 1:
         _usage_error("size must be at least 1")
-    filters = []
-    if args.commutative:
-        filters.append("commutative")
-    if args.idempotent:
-        filters.append("idempotent")
-    if args.star_involutive:
-        filters.append("star_involutive")
-    chains = list(enumerate_chains(args.size, filters=tuple(filters)))
-    if args.admissible:
-        chains = [c for c in chains if predicates(c).admissible]
+    chains = enumerate_chains(args.size, [f for f in KNOWN_FILTERS if getattr(args, f)])
     if args.format == "table":
         print(f"count: {len(chains)}")
     else:
@@ -326,12 +318,12 @@ def cmd_classify(args) -> int:
 def cmd_ap(args) -> int:
     from .classification import ap_verdict, hs_closure, parse_class
 
+    if bool(args.cls) == bool(args.generators):
+        _usage_error("ap needs exactly one of a generators file and --class")
     if args.cls:
         cls = _parsed(parse_class, args.cls)
         _emit({"ap": True, "class": cls.text()}, args)
         return 0
-    if not args.generators:
-        _usage_error("ap needs a generators file or --class")
     K = hs_closure(_load_generators(args.generators))
     _emit(ap_verdict(K).as_dict(), args)
     return 0

@@ -28,6 +28,7 @@ from .chain import (
     R,
     RIGHT,
     STAR,
+    FiniteChain,
     canonical_signature,
     derived,
     enumerate_chains,
@@ -164,6 +165,41 @@ def brute_congruence_blocks(chain):
                     blocks[-1].append(i)
             out.append(tuple(tuple(blk) for blk in blocks))
     return out
+
+
+def brute_chains(n, idempotent=False):
+    """Every residuated chain of size n, by trying every table.
+
+    The bottom absorbs, so it is the unit of the one-element chain only.
+    For each other unit the unit and bottom rows and columns are fixed
+    (with idempotent, the diagonal too) and every other cell takes every
+    value in 0..n-1. A table is kept when it is monotone in each argument
+    and associative, read from the raw table; validate() is not called.
+    Sorted by signature.
+    """
+    found = []
+    for unit in range(1, n) if n > 1 else (0,):
+        base = [[None] * n for _ in range(n)]
+        for x in range(n):
+            base[unit][x] = base[x][unit] = x
+            base[0][x] = base[x][0] = 0
+            if idempotent:
+                base[x][x] = x
+        free = [(x, y) for x in range(n) for y in range(n) if base[x][y] is None]
+        for values in itertools.product(range(n), repeat=len(free)):
+            t = [row[:] for row in base]
+            for (x, y), v in zip(free, values):
+                t[x][y] = v
+            monotone = all(
+                t[x][y] <= t[x][y + 1] and t[y][x] <= t[y + 1][x]
+                for x in range(n) for y in range(n - 1)
+            )
+            if monotone and all(
+                t[t[x][y]][z] == t[x][t[y][z]]
+                for x in range(n) for y in range(n) for z in range(n)
+            ):
+                found.append(FiniteChain(n, unit, tuple(map(tuple, t))))
+    return sorted(found, key=lambda c: c.signature)
 
 
 def reference_find_amalgam(

@@ -1,6 +1,8 @@
 """Cayley-table validation, residuals, derived maps, predicates,
 subuniverses, isomorphism, and bounded enumeration."""
 
+import itertools
+
 import pytest
 
 from resichain import (
@@ -27,7 +29,7 @@ from resichain import (
     validate,
 )
 from resichain.constructors import com, go
-from resichain.selfcheck import brute_residual, brute_star
+from resichain.selfcheck import brute_chains, brute_ell, brute_r, brute_residual, brute_star
 
 
 def lab(chain, name):
@@ -291,6 +293,34 @@ def test_enumerate_output_is_deduplicated_and_valid():
     assert len(sigs) == len(chains)
     for c in chains:
         validate(c.size, c.unit, c.mult)
+
+
+def oracle_predicates(chain):
+    """The four filters, decided from the raw table and the brute residuals."""
+    n, e = chain.size, chain.unit
+    star = [brute_star(chain, x) for x in range(n)]
+    return {
+        "commutative": all(chain.mul(x, y) == chain.mul(y, x) for x in range(n) for y in range(n)),
+        "idempotent": all(chain.mul(x, x) == x for x in range(n)),
+        "star_involutive": all(star[star[x]] == x for x in range(n)),
+        "admissible": all(
+            brute_ell(chain, x) != e and brute_r(chain, x) != e for x in range(n) if x != e
+        ),
+    }
+
+
+@pytest.mark.parametrize("n,idempotent", [(1, False), (2, False), (3, False), (4, False), (5, True)])
+def test_enumerate_matches_the_brute_force_oracle(n, idempotent):
+    # the oracle tries every value in every free cell; at n = 5 only the
+    # diagonal-fixed tables are small enough, so only filter sets with idempotent
+    oracle = [(c.signature, oracle_predicates(c)) for c in brute_chains(n, idempotent)]
+    names = ("commutative", "idempotent", "star_involutive", "admissible")
+    for r in range(len(names) + 1):
+        for subset in itertools.combinations(names, r):
+            if idempotent and "idempotent" not in subset:
+                continue
+            want = [sig for sig, holds in oracle if all(holds[f] for f in subset)]
+            assert [c.signature for c in enumerate_chains(n, subset)] == want, subset
 
 
 def test_enumerate_rejects_unknown_filter():

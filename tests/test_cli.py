@@ -187,6 +187,7 @@ CONTRACT_CASES = [
     (["ppartition", "MISSING"], None, 2),
     (["classify", "CHAIN"], None, 1),
     (["ap", "CHAIN"], None, 1),
+    (["ap", "CHAIN", "--class", "e:w"], None, 2),
     (["check", "LIST"], None, 1),
     (["check", "INFINITE"], None, 1),
 ]
