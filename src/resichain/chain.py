@@ -9,7 +9,9 @@ and bottom-absorption and nothing else.
 
 A chain is compiled once. Its canonical signature and its hash are computed
 when it is built; its residual tables, unary tables and predicates on first
-use, and then kept on the chain (``FiniteChain.tables``). validate() interns
+use, and then kept on the chain (``FiniteChain.tables``), as is the
+decomposition signature of a commutative idempotent chain
+(``decomposition.decompose``). validate() interns
 chains on (size, unit, mult, labels): the same data returns the same object
 without checking it again, and a table already validated under other labels
 is not checked again either. Equality and hashing read the table only, so
@@ -70,6 +72,10 @@ class FiniteChain:
     signature: bytes = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
     _tables: Optional["ChainTables"] = field(init=False, repr=False, default=None)
+    # filled by decomposition.decompose on first use
+    _decomposition: Optional["DecompositionSignature"] = field(
+        init=False, repr=False, default=None
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "signature", _encode_signature(self.size, self.unit, self.mult))

@@ -33,6 +33,10 @@ from .errors import MalformedInput, ResichainError, SizeTooLarge
 # what it uses, so a light verb does not load the classification,
 # amalgamation and self-check modules.
 
+# the largest chain `make` builds; its table grows with the square of the
+# size and its validation with the cube (go:127 takes about 0.1 s)
+MAKE_MAX_SIZE = 128
+
 # operand count of each as-op operation
 ASOP_ARITY = {"mul": 2, "residual": 2, "unary": 1, "leq": 2, "reach": 1}
 
@@ -114,17 +118,35 @@ def _element(chain: FiniteChain, name: str) -> int:
 
 
 def parse_make_spec(spec: str) -> FiniteChain:
-    """go:N, com:M,N, or sum:PART+PART+... with parts in the same syntax."""
+    """go:N, com:M,N, or sum:PART+PART+... with parts in the same syntax.
+    The size is read off the whole spec before any table is built."""
+    size, build = _make_plan(spec)
+    if size > MAKE_MAX_SIZE:
+        raise SizeTooLarge(f"size {size} exceeds the make limit {MAKE_MAX_SIZE}")
+    return build()
+
+
+def _make_plan(spec: str) -> tuple:
+    """(size, build) for one spec: the chain's size, and a function that
+    builds the chain."""
     from .constructors import com, go, nested_sum
 
     if spec.startswith("sum:"):
-        return nested_sum([parse_make_spec(p) for p in spec[4:].split("+")])
+        plans = [_make_plan(p) for p in spec[4:].split("+")]
+        # the parts share one unit
+        size = 1 + sum(part_size - 1 for part_size, _ in plans)
+        return size, lambda: nested_sum([build() for _, build in plans])
     try:
         if spec.startswith("go:"):
-            return go(int(spec[3:]))
+            n = int(spec[3:])
+            if n < 0:
+                raise ValueError(n)
+            return n + 1, lambda: go(n)
         if spec.startswith("com:"):
-            m, n = spec[4:].split(",")
-            return com(int(m), int(n))
+            m, n = (int(v) for v in spec[4:].split(","))
+            if min(m, n) < 0:
+                raise ValueError(m, n)
+            return m + n + 3, lambda: com(m, n)
     except ValueError:
         _usage_error(f"malformed constructor spec {spec!r}")
     _usage_error(f"unrecognized constructor spec {spec!r}")

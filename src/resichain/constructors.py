@@ -13,14 +13,17 @@ the chain.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .chain import FiniteChain, predicates, validate
 from .errors import NotAdmissible
 
 
+@lru_cache(maxsize=None)
 def go(n: int) -> FiniteChain:
-    """Goedel chain with n elements strictly below the unit."""
+    """Goedel chain with n elements strictly below the unit; built once
+    per n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     size = n + 1
@@ -29,8 +32,10 @@ def go(n: int) -> FiniteChain:
     return validate(size, n, table, labels=labels)
 
 
+@lru_cache(maxsize=None)
 def com(m: int, n: int) -> FiniteChain:
-    """Two-sided chain with m+1 elements below the unit and n+1 above."""
+    """Two-sided chain with m+1 elements below the unit and n+1 above;
+    built once per (m, n)."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
     size = m + n + 3

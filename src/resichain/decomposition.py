@@ -79,13 +79,20 @@ def skeleton_blocks(chain: FiniteChain) -> list:
 def decompose(chain: FiniteChain) -> DecompositionSignature:
     """Unique normal form: fiber sizes over the i-th skeleton point below
     the unit and the i-th above it (counting outward) give (m_i, n_i);
-    the fiber over the unit gives the tail."""
+    the fiber over the unit gives the tail. Computed once per chain and
+    kept on it; a chain that is not commutative and idempotent raises on
+    every call."""
+    sig = chain._decomposition
+    if sig is not None:
+        return sig
     blocks = skeleton_blocks(chain)
     k = sum(b < chain.unit for b, _ in blocks)
     below, above = blocks[:k], blocks[k + 1 :][::-1]
     assert len(below) == len(above), "skeleton must be symmetric around e"
     pairs = tuple((len(lo) - 1, len(hi) - 1) for (_, lo), (_, hi) in zip(below, above))
-    return DecompositionSignature(pairs=pairs, p=len(blocks[k][1]) - 1)
+    sig = DecompositionSignature(pairs=pairs, p=len(blocks[k][1]) - 1)
+    object.__setattr__(chain, "_decomposition", sig)
+    return sig
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Cayley-table validation, residuals, derived maps, predicates,
 subuniverses, isomorphism, and bounded enumeration."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from resichain import (
     SizeTooLarge,
     canonical_signature,
     chain_from_json,
+    decompose,
     derived,
     enumerate_chains,
     enumeration_cap,
@@ -28,7 +30,7 @@ from resichain import (
     subalgebra_generated,
     validate,
 )
-from resichain.constructors import com, go
+from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import brute_chains, brute_ell, brute_r, brute_residual, brute_star
 
 
@@ -277,6 +279,26 @@ def test_derived_tables_are_built_once():
     c = com(2, 2)
     assert c.tables is c.tables
     assert predicates(c) is c.tables.predicates
+
+
+# A version that kept the decomposition in an attribute the dataclass does
+# not declare, set through object.__setattr__, ran the closure benchmark
+# about 12% slower (327-353 against 366-415 ops/s over 4 runs); declared as
+# a field, it ran faster than before.
+def test_a_chain_holds_only_its_declared_fields():
+    chain = nested_sum([com(1, 1), go(2)])
+    chain.tables
+    decompose(chain)
+    assert set(vars(chain)) <= {f.name for f in dataclasses.fields(FiniteChain)}
+
+
+def test_constructors_build_each_chain_once():
+    assert go(3) is go(3)
+    assert com(1, 2) is com(1, 2)
+    for bad in (lambda: go(-1), lambda: com(-1, 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bad()
 
 
 # --- enumeration ------------------------------------------------------

@@ -172,24 +172,26 @@ def test_enumeration_cap_comes_from_the_environment(capsys, monkeypatch):
     assert got["error"] == "SizeTooLarge"
 
 
-# CHAIN, NO_UNIT, LIST, INFINITE and MISSING stand for paths the test makes
+# CHAIN, NO_UNIT, LIST, INFINITE and MISSING stand for paths the test makes;
+# want is 2 for a usage error, else the error code of the one exit-1 line
 CONTRACT_CASES = [
     (["make", "go:x"], None, 2),
     (["make", "com:1"], None, 2),
     (["quotient", "--kernel", "e", "CHAIN"], None, 2),
     (["as-op", "--set", "per:01", "mul", "a:0"], None, 2),
     (["words", "leq", "per:01", "fin:{a}"], None, 2),
-    (["check", "NO_UNIT"], None, 1),
-    (["check", "-"], "not json", 1),
+    (["check", "NO_UNIT"], None, "MalformedInput"),
+    (["check", "-"], "not json", "MalformedInput"),
     (["make", "go:2", "--jobs", "2"], None, 2),
     (["enumerate", "0"], None, 2),
     (["as-op", "--set", "per:01", "reach", "a:0", "--depth", "-1"], None, 2),
     (["ppartition", "MISSING"], None, 2),
-    (["classify", "CHAIN"], None, 1),
-    (["ap", "CHAIN"], None, 1),
+    (["classify", "CHAIN"], None, "MalformedInput"),
+    (["ap", "CHAIN"], None, "MalformedInput"),
     (["ap", "CHAIN", "--class", "e:w"], None, 2),
-    (["check", "LIST"], None, 1),
-    (["check", "INFINITE"], None, 1),
+    (["check", "LIST"], None, "MalformedInput"),
+    (["check", "INFINITE"], None, "MalformedInput"),
+    (["make", "go:99999999999"], None, "SizeTooLarge"),
 ]
 
 
@@ -212,11 +214,13 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
         "MISSING": str(tmp_path / "missing"),
     }
     proc = run_interpreter(["-m", "resichain.cli", *[files.get(a, a) for a in argv]], stdin)
-    assert proc.returncode == want
     assert "Traceback" not in proc.stderr
-    if want == 1:
+    if want == 2:
+        assert proc.returncode == 2
+    else:
         lines = proc.stdout.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "MalformedInput"
+        assert proc.returncode == 1
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == want
 
 
 def run_interpreter(args, stdin=None, **env):

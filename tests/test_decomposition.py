@@ -1,7 +1,14 @@
 """Skeleton extraction, the nested-sum normal form, and signature
 counting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import resichain
 
 from resichain import (
     DecompositionSignature,
@@ -16,6 +23,7 @@ from resichain import (
     recompose,
     skeleton_blocks,
     sugihara_skeleton,
+    validate,
 )
 from resichain.constructors import com, go, nested_sum
 
@@ -131,6 +139,52 @@ def test_signature_size_identity():
             sig = decompose(chain)
             assert sig.size == chain.size
             assert sum(m + k + 2 for m, k in sig.pairs) + sig.p + 1 == chain.size
+
+
+def test_decompose_keeps_one_signature_per_chain():
+    chain = nested_sum([com(1, 0), go(2)])
+    assert decompose(chain) is decompose(chain)
+
+
+def test_decompose_raises_on_every_call_for_a_chain_it_cannot_read():
+    noncomm = next(c for c in enumerate_chains(4) if not predicates(c).commutative)
+    nonidem = next(
+        c for c in enumerate_chains(3, ("commutative",)) if not predicates(c).idempotent
+    )
+    for chain, error in ((noncomm, NotCommutative), (nonidem, NotIdempotent)):
+        for _ in range(2):
+            with pytest.raises(error):
+                decompose(chain)
+
+
+def test_label_variants_of_one_table_decompose_alike():
+    chain = nested_sum([com(0, 1), go(1)])
+    variants = [
+        validate(chain.size, chain.unit, chain.mult),
+        validate(chain.size, chain.unit, chain.mult, labels=[f"y{x}" for x in chain.elements()]),
+    ]
+    for other in variants:
+        assert other is not chain
+        assert decompose(other) == decompose(chain)
+
+
+# in a fresh interpreter, so that no earlier decompose call has touched the
+# interned chain that recompose returns
+RECOMPOSE_THEN_DECOMPOSE = """
+from resichain.decomposition import DecompositionSignature, decompose, recompose
+sig = DecompositionSignature(pairs=((1, 2), (0, 1)), p=2)
+chain = recompose(sig)
+assert chain._decomposition is None
+assert decompose(chain) == sig and chain._decomposition is decompose(chain)
+"""
+
+
+def test_recompose_leaves_the_signature_to_decompose():
+    env = dict(os.environ, PYTHONPATH=str(Path(resichain.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RECOMPOSE_THEN_DECOMPOSE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- recompose ---------------------------------------------------------
