@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, List, Optional, Tuple
 
 from .chain import (
@@ -146,25 +147,19 @@ def parse_class(text: str) -> CanonicalClass:
 
 
 def all_sixty() -> List[CanonicalClass]:
+    """The sixty in catalogue order: every parameter choice, family by
+    family, that CanonicalClass accepts. The family rules (p ≥ m, a union
+    tail needs p ∈ {1, ω}, inf+e fixes m = 0) live only in its
+    __post_init__; this walk skips the choices it rejects."""
+    grids = ((E_FAMILY, "p"), (FIN, "mpn"), (INF, "mpn"), (FIN_UNION_E, "mpn"),
+             (INF_UNION_E, "np"))
     out = []
-    for p in PARAM_VALUES:
-        out.append(CanonicalClass(E_FAMILY, p=p))
-    for family in (FIN, INF):
-        for m in PARAM_VALUES:
-            for p in PARAM_VALUES:
-                if p < m:
-                    continue
-                for n in PARAM_VALUES:
-                    out.append(CanonicalClass(family, m=m, n=n, p=p))
-    for m in PARAM_VALUES:
-        for p in (1, OMEGA):
-            if p < m:
+    for family, names in grids:
+        for values in product(PARAM_VALUES, repeat=len(names)):
+            try:
+                out.append(CanonicalClass(family, **dict(zip(names, values))))
+            except ValueError:
                 continue
-            for n in PARAM_VALUES:
-                out.append(CanonicalClass(FIN_UNION_E, m=m, n=n, p=p))
-    for n in PARAM_VALUES:
-        for p in (1, OMEGA):
-            out.append(CanonicalClass(INF_UNION_E, n=n, p=p))
     return out
 
 
@@ -355,72 +350,62 @@ class RuleViolation:
 def closure_rule_violations(K: ChainClass) -> tuple:
     """Audit of the seven closure consequences of amalgamability, checked
     on every instantiation whose conclusion has at most _AUDIT_SIZE_CAP
-    elements. Equal signatures and equal violations come back as one
-    shared object."""
+    elements. Only require reads that cap, measuring each conclusion by
+    DecompositionSignature.size, and the rules are listed in _RULE_TEXT's
+    order. Equal signatures and equal violations come back as one shared
+    object."""
     sigs = K.signatures()
+    components = [s for s in sigs if len(s.pairs) == 1 and s.p == 0]
+    tails = [s for s in sigs if not s.pairs]
     found = []
     seen = set()
 
-    def require(rule: str, premises: tuple, pairs: tuple, q: int) -> None:
+    def require(rule: str, premises: tuple, pairs: tuple, q: int) -> bool:
+        """False when the conclusion is over the cap; otherwise record a
+        violation unless K has the conclusion, and return True."""
         cand = _signature(pairs, q)
-        if cand.size > _AUDIT_SIZE_CAP or cand in sigs:
-            return
-        key = (rule, cand)
-        if key in seen:
-            return
-        seen.add(key)
-        found.append(_violation(rule, premises, cand))
-
-    def texts(*ss: DecompositionSignature) -> tuple:
-        return tuple(s.text() for s in ss)
+        if cand.size > _AUDIT_SIZE_CAP:
+            return False
+        if cand not in sigs and (rule, cand) not in seen:
+            seen.add((rule, cand))
+            found.append(_violation(rule, tuple(s.text() for s in premises), cand))
+        return True
 
     for sig in sigs:
         if sig.p == 2:
             n = 1
-            while sum(r + s + 2 for r, s in sig.pairs) + n + 1 <= _AUDIT_SIZE_CAP:
-                require("i", texts(sig), sig.pairs, n)
+            while require("i", (sig,), sig.pairs, n):
                 n += 1
-        if len(sig.pairs) >= 2 and sig.pairs[0] == (0, 0) and sig.pairs[1] == (0, 0):
-            rest = sig.pairs[2:]
+        if sig.pairs[:2] == ((0, 0), (0, 0)):
             k = 1
-            while True:
-                pairs = ((0, 0),) * k + rest
-                if sum(r + s + 2 for r, s in pairs) + sig.p + 1 > _AUDIT_SIZE_CAP:
-                    break
-                require("ii", texts(sig), pairs, sig.p)
+            while require("ii", (sig,), ((0, 0),) * k + sig.pairs[2:], sig.p):
                 k += 1
-        if len(sig.pairs) == 1 and sig.p == 0:
-            (r, s) = sig.pairs[0]
-            if r == 2:
-                for m in range(0, _AUDIT_SIZE_CAP - s - 2 + 1):
-                    require("iii", texts(sig), ((m, s),), 0)
-                for m in range(0, _AUDIT_SIZE_CAP):
-                    require("iii", texts(sig), (), m)
-            if s == 2:
-                for n in range(0, _AUDIT_SIZE_CAP - r - 2 + 1):
-                    require("iv", texts(sig), ((r, n),), 0)
         for i, pair in enumerate(sig.pairs):
-            if pair != (0, 0):
-                continue
-            for other in sigs:
-                if len(other.pairs) == 1 and other.p == 0:
-                    swapped = sig.pairs[:i] + (other.pairs[0],) + sig.pairs[i + 1 :]
-                    if sum(r + s + 2 for r, s in swapped) + sig.p + 1 <= _AUDIT_SIZE_CAP:
-                        require("vi", texts(sig, other), swapped, sig.p)
+            if pair == (0, 0):
+                for other in components:
+                    swapped = sig.pairs[:i] + other.pairs + sig.pairs[i + 1 :]
+                    require("vi", (sig, other), swapped, sig.p)
         if sig.p == 1:
-            for other in sigs:
-                if other.pairs == ():
-                    pairs_weight = sum(r + s + 2 for r, s in sig.pairs)
-                    if pairs_weight + other.p + 1 <= _AUDIT_SIZE_CAP:
-                        require("vii", texts(sig, other), sig.pairs, other.p)
-    for s1 in sigs:
-        if len(s1.pairs) == 1 and s1.p == 0 and s1.pairs[0][1] == 0:
-            for s2 in sigs:
-                if len(s2.pairs) == 1 and s2.p == 0 and s2.pairs[0][0] == 0:
-                    m, n = s1.pairs[0][0], s2.pairs[0][1]
-                    if m + n + 3 <= _AUDIT_SIZE_CAP:
-                        require("v", texts(s1, s2), ((m, n),), 0)
-    order = {r: i for i, r in enumerate(["i", "ii", "iii", "iv", "v", "vi", "vii"])}
+            for other in tails:
+                require("vii", (sig, other), sig.pairs, other.p)
+    for sig in components:
+        ((r, s),) = sig.pairs
+        if r == 2:
+            m = 0
+            while require("iii", (sig,), ((m, s),), 0):
+                m += 1
+            m = 0
+            while require("iii", (sig,), (), m):
+                m += 1
+        if s == 2:
+            n = 0
+            while require("iv", (sig,), ((r, n),), 0):
+                n += 1
+        if s == 0:
+            for other in components:
+                if other.pairs[0][0] == 0:
+                    require("v", (sig, other), ((r, other.pairs[0][1]),), 0)
+    order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
     found.sort(key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p))
     return tuple(found)
 

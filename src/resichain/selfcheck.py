@@ -476,7 +476,7 @@ def _pmap(fn, items, jobs):
     if jobs and jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
             return list(ex.map(fn, items))
     return [fn(x) for x in items]
 

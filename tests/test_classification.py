@@ -29,6 +29,7 @@ from resichain import (
     sig_in_class,
 )
 from resichain.chain import validate
+from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import _hs_closed_sets, suite_ap_verdict
 
@@ -48,6 +49,26 @@ def test_the_catalogue_has_sixty_distinct_entries():
     for cls in classes:
         by_family[cls.family] = by_family.get(cls.family, 0) + 1
     assert by_family == {"e": 3, "fin": 18, "inf": 18, "fin+e": 15, "inf+e": 6}
+
+
+def test_the_catalogue_order_is_pinned():
+    # seeded draws (the benchmark's among them) consume this order
+    assert [cls.text() for cls in all_sixty()] == [
+        "e:0", "e:1", "e:w",
+        "fin:0,0,0", "fin:0,0,1", "fin:0,0,w", "fin:0,1,0", "fin:0,1,1", "fin:0,1,w",
+        "fin:0,w,0", "fin:0,w,1", "fin:0,w,w", "fin:1,1,0", "fin:1,1,1", "fin:1,1,w",
+        "fin:1,w,0", "fin:1,w,1", "fin:1,w,w", "fin:w,w,0", "fin:w,w,1", "fin:w,w,w",
+        "inf:0,0,0", "inf:0,0,1", "inf:0,0,w", "inf:0,1,0", "inf:0,1,1", "inf:0,1,w",
+        "inf:0,w,0", "inf:0,w,1", "inf:0,w,w", "inf:1,1,0", "inf:1,1,1", "inf:1,1,w",
+        "inf:1,w,0", "inf:1,w,1", "inf:1,w,w", "inf:w,w,0", "inf:w,w,1", "inf:w,w,w",
+        "fin:0,0,0+e:1", "fin:0,0,1+e:1", "fin:0,0,w+e:1",
+        "fin:0,0,0+e:w", "fin:0,0,1+e:w", "fin:0,0,w+e:w",
+        "fin:1,0,0+e:1", "fin:1,0,1+e:1", "fin:1,0,w+e:1",
+        "fin:1,0,0+e:w", "fin:1,0,1+e:w", "fin:1,0,w+e:w",
+        "fin:w,0,0+e:w", "fin:w,0,1+e:w", "fin:w,0,w+e:w",
+        "inf:0,0,0+e:1", "inf:0,0,0+e:w", "inf:0,0,1+e:1",
+        "inf:0,0,1+e:w", "inf:0,0,w+e:1", "inf:0,0,w+e:w",
+    ]
 
 
 def test_class_text_round_trips_through_parse():
@@ -223,6 +244,33 @@ def test_rule_audit_flags_the_short_tail():
     violations = closure_rule_violations(hs_closure([go(2)]))
     assert violations[0].rule == "i"
     assert violations[0].missing.text() == "Go_3"
+
+
+STACK = "C(0,0) ⊞ C(0,0)"
+
+
+@pytest.mark.parametrize(
+    "rule, generators, premises, missing",
+    [
+        ("i", [go(2)], ("Go_2",), [f"Go_{q}" for q in range(3, 9)]),
+        ("ii", [nested_sum([com(0, 0), com(0, 0)])], (STACK,),
+         [f"{STACK} ⊞ C(0,0)", f"{STACK} ⊞ C(0,0) ⊞ C(0,0)"]),
+        ("iii", [com(2, 0)], ("C(2,0)",),
+         ["Go_3", "Go_4", "Go_5", "C(3,0)", "Go_6", "C(4,0)", "Go_7", "C(5,0)", "Go_8",
+          "C(6,0)"]),
+        ("iv", [com(0, 2)], ("C(0,2)",), ["C(0,3)", "C(0,4)", "C(0,5)", "C(0,6)"]),
+        ("v", [com(1, 0), com(0, 1)], ("C(1,0)", "C(0,1)"), ["C(1,1)"]),
+    ],
+)
+def test_rule_audit_lists_every_missing_conclusion_up_to_the_cap(
+    rule, generators, premises, missing
+):
+    hits = [v for v in closure_rule_violations(hs_closure(generators)) if v.rule == rule]
+    assert [v.missing.text() for v in hits] == missing
+    assert all(v.premises == premises for v in hits)
+    if rule != "v":
+        # the growing rules stop exactly at the cap
+        assert hits[-1].missing.size == _AUDIT_SIZE_CAP == 9
 
 
 def test_rule_audit_is_clean_on_every_canonical_class():

@@ -517,6 +517,34 @@ def test_verify_jobs_flag_does_not_change_output(capsys):
     assert first == second
 
 
+def test_verify_jobs_asks_for_at_most_one_worker_per_size(capsys, monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in this
+        process, so the test starts no process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, pooled = run(capsys, "verify", "lemma:counting", "--max-size", "3", "--jobs", "64")
+    _, serial = run(capsys, "verify", "lemma:counting", "--max-size", "3", "--jobs", "1")
+    assert code == 0 and pooled == serial
+    assert requested == [3]
+
+
 # --- determinism and piping --------------------------------------------------
 
 
