@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .chain import (
@@ -26,8 +27,8 @@ from .chain import (
 )
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
-from .morphisms import congruences, quotient
-from .amalgamation import CandidatePool, Refuted, Span, canonical_order, find_amalgam, spans_over
+from .morphisms import ChainMap, congruences, embedding_images, homomorphism_images, quotient
+from .amalgamation import CandidatePool, Refuted, Span, canonical_order
 
 OMEGA = float("inf")
 PARAM_VALUES = (0, 1, OMEGA)
@@ -274,8 +275,19 @@ def _hs_images(chain: FiniteChain, labels) -> tuple:
     return tuple(images)
 
 
+# equal closures and equal audits come back as one shared object; a
+# table starts over once it holds _SHARED_LIMIT entries
+_SHARED_LIMIT = 1 << 16
+# members tuple -> the ChainClasses built on it, one per label variant
+_CLOSED: dict = {}
+_AUDITS: dict = {}
+
+
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
-    """Least superset closed under subalgebras and quotients."""
+    """Least superset closed under subalgebras and quotients. A closure
+    whose members are the very chain objects of an earlier one returns
+    that earlier ChainClass. Label variants compare equal, so each gets
+    its own."""
     pool = {}
     work = list(generators)
     while work:
@@ -285,7 +297,15 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
             continue
         pool[key] = c
         work.extend(_hs_step(c))
-    return ChainClass.from_chains(pool.values())
+    K = ChainClass.from_chains(pool.values())
+    variants = _CLOSED.get(K.members, ())
+    for earlier in variants:
+        if all(x is y for x, y in zip(earlier.members, K.members)):
+            return earlier
+    if len(_CLOSED) >= _SHARED_LIMIT:
+        _CLOSED.clear()
+    _CLOSED[K.members] = variants + (K,)
+    return K
 
 
 @lru_cache(maxsize=None)
@@ -352,8 +372,8 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     on every instantiation whose conclusion has at most _AUDIT_SIZE_CAP
     elements. Only require reads that cap, measuring each conclusion by
     DecompositionSignature.size, and the rules are listed in _RULE_TEXT's
-    order. Equal signatures and equal violations come back as one shared
-    object."""
+    order. Equal signatures, equal violations and equal audits come back
+    as one shared object."""
     sigs = K.signatures()
     components = [s for s in sigs if len(s.pairs) == 1 and s.p == 0]
     tails = [s for s in sigs if not s.pairs]
@@ -407,7 +427,10 @@ def closure_rule_violations(K: ChainClass) -> tuple:
                     require("v", (sig, other), ((r, other.pairs[0][1]),), 0)
     order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
     found.sort(key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p))
-    return tuple(found)
+    audit = tuple(found)
+    if len(_AUDITS) >= _SHARED_LIMIT:
+        _AUDITS.clear()
+    return _AUDITS.setdefault(audit, audit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,6 +439,11 @@ class HasAP:
 
     def as_dict(self) -> dict:
         return {"ap": True, "class": self.canonical.text()}
+
+
+@lru_cache(maxsize=None)
+def _has_ap(canonical: CanonicalClass) -> HasAP:
+    return HasAP(canonical=canonical)
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,18 +460,67 @@ class NoAP:
         return out
 
 
+@lru_cache(maxsize=4096)
+def _witness(A, B, C, i_b: tuple, i_c: tuple, labels: tuple) -> Span:
+    """One shared witness per distinct span. Chains that differ only in
+    labels compare equal, so the labels of A, B and C are part of the key."""
+    return Span(A, B, C, ChainMap(A, B, i_b), ChainMap(A, C, i_c))
+
+
+@lru_cache(maxsize=None)
+def _refuted(checked: int) -> Refuted:
+    return Refuted(checked=checked)
+
+
 def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]]:
     """First span over K (spans_over order) with no one-sided completion
-    in K. The candidate pool is K itself, so every candidate is a member
-    and the search per span is complete."""
-    members = CandidatePool(K.members)
-    bound = max(c.size for c in members)
-    for span in spans_over(members):
-        res = find_amalgam(
-            span, lambda d: True, bound, one_sided=True, complete=True, candidates=members
-        )
-        if isinstance(res, Refuted):
-            return span, res
+    in K. D completes A→B, A→C when some embedding B→D and some
+    homomorphism C→D agree on A, so legs are read as image tuples: the
+    embedding images between members are looked up once per call, the
+    homomorphism images C→D once per pair, and their restrictions along
+    i_C once per (C, i_C, D) that a span needs. Only the witness becomes a
+    Span. Every member is a candidate (one per signature, as find_amalgam
+    scans them), so the refutation counts K's distinct members."""
+    members = K.members
+    n = len(members)
+    emb = [[embedding_images(x, y) for y in members] for x in members]
+    homs = [[None] * n for _ in members]
+    position = {}
+    for i, d in enumerate(members):
+        position.setdefault(d.signature, i)
+    order = [position[d.signature] for d in canonical_order(members)]
+    restrictions = {}
+
+    def completed(b: int, i_b: tuple, c: int, i_c: tuple) -> bool:
+        on_a_via_b = itemgetter(*i_b)
+        for d in order:
+            jbs = emb[b][d]
+            if not jbs:
+                continue
+            key = (c, i_c, d)
+            legs = restrictions.get(key)
+            if legs is None:
+                hs = homs[c][d]
+                if hs is None:
+                    hs = homs[c][d] = homomorphism_images(members[c], members[d])
+                on_a_via_c = itemgetter(*i_c)
+                legs = restrictions[key] = {on_a_via_c(h) for h in hs}
+            # for a one-element A both getters return a value, not a tuple
+            if not legs.isdisjoint(map(on_a_via_b, jbs)):
+                return True
+        return False
+
+    for a, row in enumerate(emb):
+        for b, legs_b in enumerate(row):
+            if not legs_b:
+                continue
+            for c, legs_c in enumerate(row):
+                for i_b in legs_b:
+                    for i_c in legs_c:
+                        if not completed(b, i_b, c, i_c):
+                            A, B, C = members[a], members[b], members[c]
+                            labels = (A.labels, B.labels, C.labels)
+                            return _witness(A, B, C, i_b, i_c, labels), _refuted(len(order))
     return None, None
 
 
@@ -453,7 +530,7 @@ def ap_verdict(K: ChainClass):
     is found, a concretely refuted span."""
     cand = classify(K)
     if cand is not None:
-        return HasAP(canonical=cand)
+        return _has_ap(cand)
     audit = closure_rule_violations(K)
     witness, refutation = find_refuting_span(K)
     return NoAP(audit=audit, witness=witness, refutation=refutation)

@@ -320,13 +320,20 @@ def cmd_amalgamate(args) -> int:
 
 
 def _load_generators(path):
-    """A list of chains, or an object with a "generators" list."""
+    """A list of chains, or an object with a "generators" list. A chain
+    over the enumeration cap is refused before its closure is built: the
+    subalgebra scan of a chain is exponential in its size."""
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("generators")
     if not isinstance(data, list):
         raise MalformedInput('expected a list of chains or {"generators": [...]}')
-    return [_decode(chain_from_json, d) for d in data]
+    chains = [_decode(chain_from_json, d) for d in data]
+    cap = enumeration_cap()
+    for c in chains:
+        if c.size > cap:
+            raise SizeTooLarge(f"size {c.size} exceeds the enumeration cap {cap}")
+    return chains
 
 
 def cmd_classify(args) -> int:

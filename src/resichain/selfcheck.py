@@ -17,8 +17,10 @@ from . import zchain
 from .amalgamation import (
     AmalgamResult,
     BoundExhausted,
+    CandidatePool,
     Refuted,
     amalgamate_components,
+    find_amalgam,
     spans_over,
     verify_amalgam,
 )
@@ -241,6 +243,21 @@ def reference_find_amalgam(
     if complete:
         return Refuted(checked=checked)
     return BoundExhausted(size_bound=size_bound)
+
+
+def reference_find_refuting_span(K):
+    """find_refuting_span's contract, searched the plain way: build every
+    span over K with spans_over and give each a complete one-sided
+    find_amalgam search over K itself. Only the tests call it."""
+    members = CandidatePool(K.members)
+    bound = max(c.size for c in members)
+    for span in spans_over(members):
+        res = find_amalgam(
+            span, lambda d: True, bound, one_sided=True, complete=True, candidates=members
+        )
+        if isinstance(res, Refuted):
+            return span, res
+    return None, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The sixty-class catalogue, membership, HS-closure, the classifier,
 the closure-rule audit, and AP verdicts."""
 
+import random
+
 import pytest
 
 from resichain import (
@@ -21,6 +23,7 @@ from resichain import (
     closure_rule_violations,
     decompose,
     enumerate_chains,
+    find_refuting_span,
     hs_closure,
     is_embedding,
     iso_equal,
@@ -31,7 +34,7 @@ from resichain import (
 from resichain.chain import validate
 from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
-from resichain.selfcheck import _hs_closed_sets, suite_ap_verdict
+from resichain.selfcheck import _hs_closed_sets, reference_find_refuting_span, suite_ap_verdict
 
 
 def sig_keys(chains):
@@ -162,15 +165,40 @@ def test_hs_closure_is_idempotent():
     assert first.is_hs_closed()
 
 
+def labels_of(chains):
+    return {label for c in chains for label in c.labels}
+
+
 def test_hs_closure_keeps_the_labels_of_each_variant():
-    plain = com(1, 1)
-    renamed = validate(
-        plain.size, plain.unit, plain.mult, labels=[f"x{i}" for i in range(plain.size)]
-    )
-    assert renamed == plain
-    hs_closure([plain])
-    labels = {label for c in hs_closure([renamed]).members for label in c.labels}
-    assert labels and all(set(label) <= set("x0123456789[ ]") for label in labels)
+    # equal verdict parts are shared records; a relabeled generator must
+    # still get a closure and a witness that carry its own labels
+    for plain in (com(1, 1), go(2)):
+        renamed = validate(
+            plain.size, plain.unit, plain.mult, labels=[f"x{i}" for i in range(plain.size)]
+        )
+        assert renamed == plain
+        ap_verdict(hs_closure([plain]))
+        K = hs_closure([renamed])
+        assert K == hs_closure([plain]) and K is not hs_closure([plain])
+        labels = labels_of(K.members)
+        assert labels and all(set(label) <= set("x0123456789[ ]") for label in labels)
+    witness = ap_verdict(K).witness
+    plain_witness = ap_verdict(hs_closure([go(2)])).witness
+    assert witness == plain_witness and witness is not plain_witness
+    assert labels_of((witness.A, witness.B, witness.C)) <= labels
+
+
+def test_equal_verdicts_share_their_records():
+    K = hs_closure([com(0, 2)])
+    assert hs_closure([com(0, 2)]) is K
+    first, second = ap_verdict(K), ap_verdict(hs_closure([com(0, 2)]))
+    assert isinstance(first, NoAP) and first.witness is not None
+    assert first.audit is second.audit
+    assert first.witness is second.witness
+    assert first.refutation is second.refutation
+    cls = parse_class("fin:1,0,1+e:1")
+    has_ap = ap_verdict(ChainClass.from_chains(class_members(cls)))
+    assert has_ap is ap_verdict(ChainClass.from_chains(class_members(cls)))
 
 
 def test_every_canonical_class_is_hs_closed_at_bounded_scale():
@@ -218,6 +246,46 @@ def test_classifier_agrees_with_the_span_search_up_to_size_five():
         classify(ChainClass.from_chains(members)) for members in _hs_closed_sets(chains)
     ]
     assert sum(cls is not None for cls in classified) == 11
+
+
+def assert_refutes_like_the_reference(K) -> bool:
+    """find_refuting_span against the plain spans_over + find_amalgam
+    scan: the same witness, with the same labels, and the same count."""
+    got, want = find_refuting_span(K), reference_find_refuting_span(K)
+    if want[0] is None:
+        assert got == (None, None)
+        return False
+    (span, refuted), (want_span, want_refuted) = got, want
+    assert span.to_json() == want_span.to_json()
+    assert [c.labels for c in (span.A, span.B, span.C)] == [
+        c.labels for c in (want_span.A, want_span.B, want_span.C)
+    ]
+    assert refuted.checked == want_refuted.checked
+    return True
+
+
+def test_span_search_matches_the_reference_up_to_size_five():
+    chains = []
+    for n in range(1, 6):
+        chains.extend(enumerate_chains(n, ("commutative", "idempotent")))
+    results = [
+        assert_refutes_like_the_reference(ChainClass.from_chains(members))
+        for members in _hs_closed_sets(chains)
+    ]
+    assert len(results) == 643 and sum(results) == 643 - 11
+
+
+def test_span_search_matches_the_reference_on_relabeled_closures():
+    rng = random.Random(7)
+    chains = class_members(parse_class("inf:w,w,w"), 6)
+    refuted = 0
+    for _ in range(25):
+        first, *rest = rng.sample(chains, rng.randint(1, 3))
+        renamed = validate(
+            first.size, first.unit, first.mult, labels=[f"r{i}" for i in range(first.size)]
+        )
+        refuted += assert_refutes_like_the_reference(hs_closure([renamed, *rest]))
+    assert refuted > 0
 
 
 def test_classifier_requires_a_closed_input():

@@ -192,6 +192,9 @@ CONTRACT_CASES = [
     (["check", "LIST"], None, "MalformedInput"),
     (["check", "INFINITE"], None, "MalformedInput"),
     (["make", "go:99999999999"], None, "SizeTooLarge"),
+    # a 25-element generator: its subalgebra scan alone would visit 2^24 subsets
+    (["classify", "GO24"], None, "SizeTooLarge"),
+    (["ap", "GO24"], None, "SizeTooLarge"),
 ]
 
 
@@ -206,11 +209,14 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
     listed.write_text(json.dumps([data]))
     infinite = tmp_path / "infinite.json"
     infinite.write_text(json.dumps({**data, "mult": [[float("inf")] * 5] * 5}))
+    go24 = tmp_path / "go24.json"
+    go24.write_text(json.dumps([go(24).to_json()]))
     files = {
         "CHAIN": chain_file(tmp_path, com(1, 1)),
         "NO_UNIT": str(no_unit),
         "LIST": str(listed),
         "INFINITE": str(infinite),
+        "GO24": str(go24),
         "MISSING": str(tmp_path / "missing"),
     }
     proc = run_interpreter(["-m", "resichain.cli", *[files.get(a, a) for a in argv]], stdin)
