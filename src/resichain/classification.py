@@ -275,12 +275,34 @@ def _hs_images(chain: FiniteChain, labels) -> tuple:
     return tuple(images)
 
 
-# equal closures and equal audits come back as one shared object; a
-# table starts over once it holds _SHARED_LIMIT entries
+# Equal closures and the audits of equal signature sets come back as one
+# shared object, and span completions are remembered across calls. The
+# tables start over together once one of them holds _SHARED_LIMIT entries:
+# the masks in _AUDITS and _COMPLETIONS are read through _BITS, so
+# clearing one without the other would make them name the wrong chains.
 _SHARED_LIMIT = 1 << 16
 # members tuple -> the ChainClasses built on it, one per label variant
 _CLOSED: dict = {}
+# the mask of K's members -> K's audit
 _AUDITS: dict = {}
+# chain signature -> its bit in the masks
+_BITS: dict = {}
+# (B.signature, i_B, C.signature, i_C) -> (mask of the D's known to
+# complete the span, mask of the D's known not to)
+_COMPLETIONS: dict = {}
+_SHARED_TABLES = (_CLOSED, _AUDITS, _BITS, _COMPLETIONS)
+
+
+def _make_room() -> None:
+    """Start every shared table over once one is full. Call it before
+    reading a bit, so that no mask outlives the bits it was built from."""
+    if any(len(table) >= _SHARED_LIMIT for table in _SHARED_TABLES):
+        for table in _SHARED_TABLES:
+            table.clear()
+
+
+def _bits(members: tuple) -> list:
+    return [_BITS.setdefault(d.signature, 1 << len(_BITS)) for d in members]
 
 
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
@@ -302,8 +324,7 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     for earlier in variants:
         if all(x is y for x, y in zip(earlier.members, K.members)):
             return earlier
-    if len(_CLOSED) >= _SHARED_LIMIT:
-        _CLOSED.clear()
+    _make_room()
     _CLOSED[K.members] = variants + (K,)
     return K
 
@@ -372,9 +393,19 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     on every instantiation whose conclusion has at most _AUDIT_SIZE_CAP
     elements. Only require reads that cap, measuring each conclusion by
     DecompositionSignature.size, and the rules are listed in _RULE_TEXT's
-    order. Equal signatures, equal violations and equal audits come back
-    as one shared object."""
-    sigs = K.signatures()
+    order. The audit depends only on K's signature set, so it is worked
+    out once per set, which the mask of its members' bits names, and a
+    later K with the same set gets the same tuple. Equal violations are
+    one shared object."""
+    _make_room()
+    key = sum(set(_bits(K.members)))
+    audit = _AUDITS.get(key)
+    if audit is None:
+        audit = _AUDITS[key] = _audit(K.signatures())
+    return audit
+
+
+def _audit(sigs: frozenset) -> tuple:
     components = [s for s in sigs if len(s.pairs) == 1 and s.p == 0]
     tails = [s for s in sigs if not s.pairs]
     found = []
@@ -427,10 +458,7 @@ def closure_rule_violations(K: ChainClass) -> tuple:
                     require("v", (sig, other), ((r, other.pairs[0][1]),), 0)
     order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
     found.sort(key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p))
-    audit = tuple(found)
-    if len(_AUDITS) >= _SHARED_LIMIT:
-        _AUDITS.clear()
-    return _AUDITS.setdefault(audit, audit)
+    return tuple(found)
 
 
 @dataclass(frozen=True, slots=True)
@@ -475,39 +503,53 @@ def _refuted(checked: int) -> Refuted:
 def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]]:
     """First span over K (spans_over order) with no one-sided completion
     in K. D completes A→B, A→C when some embedding B→D and some
-    homomorphism C→D agree on A, so legs are read as image tuples: the
-    embedding images between members are looked up once per call, the
-    homomorphism images C→D once per pair, and their restrictions along
-    i_C once per (C, i_C, D) that a span needs. Only the witness becomes a
-    Span. Every member is a candidate (one per signature, as find_amalgam
-    scans them), so the refutation counts K's distinct members."""
+    homomorphism C→D agree on A, so legs are read as image tuples. Whether
+    D completes a span depends only on B, i_B, C, i_C and D, so each answer
+    is remembered for the process as a bit of D in one of the span's two
+    masks, and only the members of K not yet decided go through the check:
+    the embedding images between members are looked up once per call, and
+    the restrictions of the homomorphism images C→D along i_C once per
+    (C, i_C, D) that a span needs. Only the witness becomes a Span. Every
+    member is a candidate (one per signature, as find_amalgam scans them),
+    so the refutation counts K's distinct members."""
+    _make_room()
     members = K.members
-    n = len(members)
+    sigs = [d.signature for d in members]
+    bits = _bits(members)
+    in_k = sum(set(bits))
     emb = [[embedding_images(x, y) for y in members] for x in members]
-    homs = [[None] * n for _ in members]
     position = {}
-    for i, d in enumerate(members):
-        position.setdefault(d.signature, i)
+    for i, sig in enumerate(sigs):
+        position.setdefault(sig, i)
     order = [position[d.signature] for d in canonical_order(members)]
     restrictions = {}
 
     def completed(b: int, i_b: tuple, c: int, i_c: tuple) -> bool:
+        span = (sigs[b], i_b, sigs[c], i_c)
+        yes, no = _COMPLETIONS.get(span, (0, 0))
+        if yes & in_k:
+            return True
+        if not in_k & ~no:
+            return False
         on_a_via_b = itemgetter(*i_b)
         for d in order:
-            jbs = emb[b][d]
-            if not jbs:
+            bit = bits[d]
+            if no & bit:
                 continue
-            key = (c, i_c, d)
-            legs = restrictions.get(key)
-            if legs is None:
-                hs = homs[c][d]
-                if hs is None:
-                    hs = homs[c][d] = homomorphism_images(members[c], members[d])
-                on_a_via_c = itemgetter(*i_c)
-                legs = restrictions[key] = {on_a_via_c(h) for h in hs}
-            # for a one-element A both getters return a value, not a tuple
-            if not legs.isdisjoint(map(on_a_via_b, jbs)):
-                return True
+            jbs = emb[b][d]
+            if jbs:
+                key = (c, i_c, d)
+                legs = restrictions.get(key)
+                if legs is None:
+                    on_a_via_c = itemgetter(*i_c)
+                    hs = homomorphism_images(members[c], members[d])
+                    legs = restrictions[key] = {on_a_via_c(h) for h in hs}
+                # for a one-element A both getters return a value, not a tuple
+                if not legs.isdisjoint(map(on_a_via_b, jbs)):
+                    _COMPLETIONS[span] = (yes | bit, no)
+                    return True
+            no |= bit
+        _COMPLETIONS[span] = (yes, no)
         return False
 
     for a, row in enumerate(emb):

@@ -442,6 +442,10 @@ def cmd_verify(args) -> int:
             _usage_error(
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
             )
+    if args.max_size < 1:
+        _usage_error("--max-size must be at least 1")
+    if args.jobs < 1:
+        _usage_error("--jobs must be at least 1")
     cap = enumeration_cap()
     if args.max_size > cap:
         raise SizeTooLarge(f"size {args.max_size} exceeds the enumeration cap {cap}")

@@ -12,7 +12,6 @@ because quotients and projections read it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .chain import FiniteChain, signature_hex, validate
@@ -143,12 +142,22 @@ def _embeddings_images(a: FiniteChain, b: FiniteChain) -> Iterable[tuple]:
 
 # one shared tuple per distinct image: the memos repeat a few thousand of them
 _IMAGES: dict = {}
+# (a.signature, b.signature) -> image tuples. Maps do not depend on labels,
+# and bytes keys hash once and compare in C, where chain keys would call
+# FiniteChain.__eq__ for every label variant.
+_EMBEDDINGS: dict = {}
+_HOMOMORPHISMS: dict = {}
 
 
-@lru_cache(maxsize=None)
 def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
     """Image tuples of every embedding a -> b, lexicographic; memoized."""
-    return tuple(_IMAGES.setdefault(f, f) for f in _embeddings_images(a, b))
+    key = (a.signature, b.signature)
+    images = _EMBEDDINGS.get(key)
+    if images is None:
+        images = _EMBEDDINGS[key] = tuple(
+            _IMAGES.setdefault(f, f) for f in _embeddings_images(a, b)
+        )
+    return images
 
 
 def enumerate_embeddings(a: FiniteChain, b: FiniteChain) -> list:
@@ -293,14 +302,17 @@ def quotient(chain: FiniteChain, cong: Congruence):
     return q, proj
 
 
-@lru_cache(maxsize=None)
 def homomorphism_images(a: FiniteChain, b: FiniteChain) -> tuple:
     """Image tuples of every homomorphism a -> b, sorted; memoized."""
-    out = []
-    for cong in congruences(a):
-        q, proj = quotient(a, cong)
-        out.extend(tuple(f[v] for v in proj.image) for f in embedding_images(q, b))
-    return tuple(_IMAGES.setdefault(f, f) for f in sorted(out))
+    key = (a.signature, b.signature)
+    images = _HOMOMORPHISMS.get(key)
+    if images is None:
+        out = []
+        for cong in congruences(a):
+            q, proj = quotient(a, cong)
+            out.extend(tuple(f[v] for v in proj.image) for f in embedding_images(q, b))
+        images = _HOMOMORPHISMS[key] = tuple(_IMAGES.setdefault(f, f) for f in sorted(out))
+    return images
 
 
 def enumerate_homomorphisms(a: FiniteChain, b: FiniteChain) -> list:

@@ -31,6 +31,7 @@ from resichain import (
     parse_class,
     sig_in_class,
 )
+from resichain import classification
 from resichain.chain import validate
 from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
@@ -235,57 +236,91 @@ def test_classifier_accepts_every_finite_canonical_class():
         assert classify(K) == cls
 
 
-def test_classifier_agrees_with_the_span_search_up_to_size_five():
-    # every non-empty HS-closed set of commutative idempotent chains of
-    # size <= 5: classified exactly when no span over it is refuted
-    assert suite_ap_verdict(5, 0, 1) == (643, [])
+def small_closed_sets() -> list:
+    """Every non-empty HS-closed set of commutative idempotent chains of
+    size <= 5."""
     chains = []
     for n in range(1, 6):
         chains.extend(enumerate_chains(n, ("commutative", "idempotent")))
-    classified = [
-        classify(ChainClass.from_chains(members)) for members in _hs_closed_sets(chains)
-    ]
+    return [ChainClass.from_chains(members) for members in _hs_closed_sets(chains)]
+
+
+def relabeled(chain, prefix: str):
+    return validate(
+        chain.size, chain.unit, chain.mult, labels=[f"{prefix}{i}" for i in range(chain.size)]
+    )
+
+
+def seeded_closures() -> list:
+    """25 closures of 1-3 chains of size <= 6 whose first generator is
+    relabeled."""
+    rng = random.Random(7)
+    chains = class_members(parse_class("inf:w,w,w"), 6)
+    closures = []
+    for _ in range(25):
+        first, *rest = rng.sample(chains, rng.randint(1, 3))
+        closures.append(hs_closure([relabeled(first, "r"), *rest]))
+    return closures
+
+
+def test_classifier_agrees_with_the_span_search_up_to_size_five():
+    # classified exactly when no span over the set is refuted
+    assert suite_ap_verdict(5, 0, 1) == (643, [])
+    classified = [classify(K) for K in small_closed_sets()]
     assert sum(cls is not None for cls in classified) == 11
+
+
+def refutation(result):
+    """A span search's answer as a caller sees it: the witness, the labels
+    of its chains, and the number of candidates it refuted."""
+    span, refuted = result
+    if span is None:
+        assert refuted is None
+        return None
+    return span.to_json(), [c.labels for c in (span.A, span.B, span.C)], refuted.checked
 
 
 def assert_refutes_like_the_reference(K) -> bool:
     """find_refuting_span against the plain spans_over + find_amalgam
     scan: the same witness, with the same labels, and the same count."""
-    got, want = find_refuting_span(K), reference_find_refuting_span(K)
-    if want[0] is None:
-        assert got == (None, None)
-        return False
-    (span, refuted), (want_span, want_refuted) = got, want
-    assert span.to_json() == want_span.to_json()
-    assert [c.labels for c in (span.A, span.B, span.C)] == [
-        c.labels for c in (want_span.A, want_span.B, want_span.C)
-    ]
-    assert refuted.checked == want_refuted.checked
-    return True
+    want = refutation(reference_find_refuting_span(K))
+    assert refutation(find_refuting_span(K)) == want
+    return want is not None
 
 
-def test_span_search_matches_the_reference_up_to_size_five():
-    chains = []
-    for n in range(1, 6):
-        chains.extend(enumerate_chains(n, ("commutative", "idempotent")))
-    results = [
-        assert_refutes_like_the_reference(ChainClass.from_chains(members))
-        for members in _hs_closed_sets(chains)
-    ]
-    assert len(results) == 643 and sum(results) == 643 - 11
+@pytest.fixture(scope="module")
+def small_sets_and_answers():
+    """The 643 sets of small_closed_sets, then each again with every
+    member relabeled, and the reference span search's answer for each."""
+    sets = small_closed_sets()
+    sets += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in sets]
+    return sets, [refutation(reference_find_refuting_span(K)) for K in sets]
+
+
+def test_span_search_matches_the_reference_up_to_size_five(small_sets_and_answers):
+    sets, want = small_sets_and_answers
+    assert [refutation(find_refuting_span(K)) for K in sets] == want
+    assert len(sets) == 2 * 643 and sum(w is not None for w in want[:643]) == 643 - 11
 
 
 def test_span_search_matches_the_reference_on_relabeled_closures():
-    rng = random.Random(7)
-    chains = class_members(parse_class("inf:w,w,w"), 6)
-    refuted = 0
-    for _ in range(25):
-        first, *rest = rng.sample(chains, rng.randint(1, 3))
-        renamed = validate(
-            first.size, first.unit, first.mult, labels=[f"r{i}" for i in range(first.size)]
-        )
-        refuted += assert_refutes_like_the_reference(hs_closure([renamed, *rest]))
-    assert refuted > 0
+    assert sum(assert_refutes_like_the_reference(K) for K in seeded_closures()) > 0
+
+
+def test_span_search_does_not_depend_on_the_sets_searched_before(
+    monkeypatch, small_sets_and_answers
+):
+    # span completions are remembered across calls as masks over chain
+    # signatures, so every set is asked in three orders, and again while
+    # the shared tables keep starting over
+    sets, want = small_sets_and_answers
+    forward = list(range(len(sets)))
+    orders = (forward, forward[::-1], random.Random(11).sample(forward, len(forward)))
+    for limit in (classification._SHARED_LIMIT, 100):
+        monkeypatch.setattr(classification, "_SHARED_LIMIT", limit)
+        for order in orders:
+            got = [refutation(find_refuting_span(sets[i])) for i in order]
+            assert got == [want[i] for i in order]
 
 
 def test_classifier_requires_a_closed_input():
@@ -339,6 +374,17 @@ def test_rule_audit_lists_every_missing_conclusion_up_to_the_cap(
     if rule != "v":
         # the growing rules stop exactly at the cap
         assert hits[-1].missing.size == _AUDIT_SIZE_CAP == 9
+
+
+def test_rule_audits_are_remembered_per_signature_set(monkeypatch):
+    sets = small_closed_sets() + seeded_closures()
+    with monkeypatch.context() as patch:
+        # a limit of 0 starts the shared tables over on every call
+        patch.setattr(classification, "_SHARED_LIMIT", 0)
+        cold = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
+    warm = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
+    again = [[v.as_dict() for v in closure_rule_violations(K)] for K in reversed(sets)]
+    assert warm == cold and again[::-1] == cold
 
 
 def test_rule_audit_is_clean_on_every_canonical_class():

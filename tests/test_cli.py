@@ -195,6 +195,12 @@ CONTRACT_CASES = [
     # a 25-element generator: its subalgebra scan alone would visit 2^24 subsets
     (["classify", "GO24"], None, "SizeTooLarge"),
     (["ap", "GO24"], None, "SizeTooLarge"),
+    (["verify", "lemma:counting", "--max-size", "0"], None, 2),
+    (["verify", "lemma:embedding-criterion", "--max-size", "-3"], None, 2),
+    (["verify", "lemma:star-involution", "--max-size", "0"], None, 2),
+    (["verify", "lemma:ap-verdict", "--max-size", "0"], None, 2),
+    (["verify", "lemma:counting", "--jobs", "0"], None, 2),
+    (["verify", "lemma:counting", "--jobs", "-1"], None, 2),
 ]
 
 
@@ -485,11 +491,7 @@ def test_verify_counting_suite_passes(capsys):
 
 
 VERIFY_CASES = [(suite, "4", 0) for suite in sorted(SUITES)] + [
-    ("lemma:counting", "0", 1),
-    ("lemma:embedding-criterion", "-3", 1),
     ("lemma:skeleton-contraction", "2", 1),
-    ("lemma:star-involution", "0", 1),
-    ("lemma:ap-verdict", "0", 1),
 ]
 
 
@@ -509,6 +511,15 @@ def test_verify_refuses_a_max_size_above_the_cap(capsys, monkeypatch, suite):
     assert [json.loads(line) for line in out.splitlines()] == [
         {"error": "SizeTooLarge", "witness": "size 4 exceeds the enumeration cap 3"}
     ]
+
+
+@pytest.mark.parametrize("flag", ["--max-size", "--jobs"])
+def test_verify_limits_below_one_are_usage_errors(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", flag, "0"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == "" and captured.err == f"{flag} must be at least 1\n"
 
 
 def test_verify_rejects_unknown_suites(capsys):
