@@ -186,6 +186,31 @@ def _certificate(B, C, D, jb: tuple, jc: tuple, one_sided: bool, labels: tuple) 
     return AmalgamResult(D, ChainMap(B, D, jb), ChainMap(C, D, jc), one_sided)
 
 
+def _completion(B, i_b: tuple, C, i_c: tuple, D, one_sided: bool):
+    """The first image pair (j_B, j_C) by which D completes the span with
+    leg images i_b and i_c, or None: j_B is an embedding B→D, j_C a
+    homomorphism C→D when one_sided and an embedding otherwise, and the
+    two agree on A. The C-legs are indexed by their values on the image
+    of i_c, and each B-leg in lexicographic order looks up the first C-leg
+    that agrees with it."""
+    if D.size < B.size or (not one_sided and D.size < C.size):
+        return None
+    jbs = embedding_images(B, D)
+    if not jbs:
+        return None
+    # for a one-element A both getters return a value, not a tuple
+    on_a_via_c = itemgetter(*i_c)
+    legs = {}
+    for jc in (homomorphism_images if one_sided else embedding_images)(C, D):
+        legs.setdefault(on_a_via_c(jc), jc)
+    on_a_via_b = itemgetter(*i_b)
+    for jb in jbs:
+        jc = legs.get(on_a_via_b(jb))
+        if jc is not None:
+            return jb, jc
+    return None
+
+
 def find_amalgam(
     span: Span,
     class_membership: Callable[[FiniteChain], bool],
@@ -202,18 +227,15 @@ def find_amalgam(
     class (complete=True), else BoundExhausted.
 
     Candidates are scanned lazily: class_membership, which must depend on
-    the algebra only, is asked about each candidate as it is reached. For
-    each codomain the C-legs are indexed once by their values on the
-    image of i_C, and each B-leg looks up the first C-leg that agrees.
+    the algebra only, is asked about each candidate as it is reached, and
+    _completion decides whether the candidate completes the span.
     """
     B, C = span.B, span.C
     if size_bound < max(B.size, C.size):
         raise ValueError("size_bound cannot be below the span's own chains")
     pool = _default_candidates(size_bound) if candidates is None else candidates
     order = pool.canonical if isinstance(pool, CandidatePool) else canonical_order(pool)
-    on_a_via_b = itemgetter(*span.i_B.image)
-    on_a_via_c = itemgetter(*span.i_C.image)
-    legs_into = homomorphism_images if one_sided else embedding_images
+    i_b, i_c = span.i_B.image, span.i_C.image
     checked = 0
     for d in order:
         if d.size > size_bound:
@@ -221,18 +243,9 @@ def find_amalgam(
         if not class_membership(d):
             continue
         checked += 1
-        if d.size < B.size or (not one_sided and d.size < C.size):
-            continue
-        jbs = embedding_images(B, d)
-        if not jbs:
-            continue
-        legs = {}
-        for jc in legs_into(C, d):
-            legs.setdefault(on_a_via_c(jc), jc)
-        for jb in jbs:
-            jc = legs.get(on_a_via_b(jb))
-            if jc is not None:
-                return _certificate(B, C, d, jb, jc, one_sided, (B.labels, C.labels, d.labels))
+        legs = _completion(B, i_b, C, i_c, d, one_sided)
+        if legs is not None:
+            return _certificate(B, C, d, *legs, one_sided, (B.labels, C.labels, d.labels))
     if complete:
         return Refuted(checked=checked)
     return BoundExhausted(size_bound=size_bound)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .chain import (
@@ -27,8 +26,8 @@ from .chain import (
 )
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
-from .morphisms import ChainMap, congruences, embedding_images, homomorphism_images, quotient
-from .amalgamation import CandidatePool, Refuted, Span, canonical_order
+from .morphisms import ChainMap, congruences, embedding_images, quotient
+from .amalgamation import CandidatePool, Refuted, Span, _completion, canonical_order
 
 OMEGA = float("inf")
 PARAM_VALUES = (0, 1, OMEGA)
@@ -237,13 +236,17 @@ def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> Candid
 
 @dataclass(frozen=True, slots=True)
 class ChainClass:
-    """A finite set of chains, deduplicated up to isomorphism."""
+    """A finite set of chains, deduplicated up to isomorphism: members
+    keeps one chain per signature (the first listed), in canonical_order."""
 
     members: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(canonical_order(self.members)))
+
     @classmethod
     def from_chains(cls, chains: Iterable[FiniteChain]) -> "ChainClass":
-        return cls(members=tuple(canonical_order(chains)))
+        return cls(members=chains)
 
     def signatures(self) -> frozenset:
         return frozenset(decompose(c) for c in self.members)
@@ -398,7 +401,7 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     later K with the same set gets the same tuple. Equal violations are
     one shared object."""
     _make_room()
-    key = sum(set(_bits(K.members)))
+    key = sum(_bits(K.members))
     audit = _AUDITS.get(key)
     if audit is None:
         audit = _AUDITS[key] = _audit(K.signatures())
@@ -502,67 +505,44 @@ def _refuted(checked: int) -> Refuted:
 
 def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]]:
     """First span over K (spans_over order) with no one-sided completion
-    in K. D completes A→B, A→C when some embedding B→D and some
-    homomorphism C→D agree on A, so legs are read as image tuples. Whether
-    D completes a span depends only on B, i_B, C, i_C and D, so each answer
-    is remembered for the process as a bit of D in one of the span's two
-    masks, and only the members of K not yet decided go through the check:
-    the embedding images between members are looked up once per call, and
-    the restrictions of the homomorphism images C→D along i_C once per
-    (C, i_C, D) that a span needs. Only the witness becomes a Span. Every
-    member is a candidate (one per signature, as find_amalgam scans them),
-    so the refutation counts K's distinct members."""
+    in K, with legs read as image tuples. amalgamation._completion decides
+    whether a member D completes a span. That depends only on B, i_B, C,
+    i_C and D, so each answer is remembered for the process as a bit of D
+    in one of the span's two masks, and only the members of K not yet
+    decided are asked. Only the witness becomes a Span. K's members are
+    one per signature in canonical order, as find_amalgam scans
+    candidates, so the refutation counts them all."""
     _make_room()
     members = K.members
-    sigs = [d.signature for d in members]
     bits = _bits(members)
-    in_k = sum(set(bits))
-    emb = [[embedding_images(x, y) for y in members] for x in members]
-    position = {}
-    for i, sig in enumerate(sigs):
-        position.setdefault(sig, i)
-    order = [position[d.signature] for d in canonical_order(members)]
-    restrictions = {}
+    in_k = sum(bits)
 
-    def completed(b: int, i_b: tuple, c: int, i_c: tuple) -> bool:
-        span = (sigs[b], i_b, sigs[c], i_c)
+    def completed(B, i_b: tuple, C, i_c: tuple) -> bool:
+        span = (B.signature, i_b, C.signature, i_c)
         yes, no = _COMPLETIONS.get(span, (0, 0))
         if yes & in_k:
             return True
-        if not in_k & ~no:
-            return False
-        on_a_via_b = itemgetter(*i_b)
-        for d in order:
-            bit = bits[d]
+        for d, bit in zip(members, bits):
             if no & bit:
                 continue
-            jbs = emb[b][d]
-            if jbs:
-                key = (c, i_c, d)
-                legs = restrictions.get(key)
-                if legs is None:
-                    on_a_via_c = itemgetter(*i_c)
-                    hs = homomorphism_images(members[c], members[d])
-                    legs = restrictions[key] = {on_a_via_c(h) for h in hs}
-                # for a one-element A both getters return a value, not a tuple
-                if not legs.isdisjoint(map(on_a_via_b, jbs)):
-                    _COMPLETIONS[span] = (yes | bit, no)
-                    return True
+            if _completion(B, i_b, C, i_c, d, True) is not None:
+                _COMPLETIONS[span] = (yes | bit, no)
+                return True
             no |= bit
         _COMPLETIONS[span] = (yes, no)
         return False
 
-    for a, row in enumerate(emb):
-        for b, legs_b in enumerate(row):
+    for A in members:
+        row = [embedding_images(A, y) for y in members]
+        for B, legs_b in zip(members, row):
             if not legs_b:
                 continue
-            for c, legs_c in enumerate(row):
+            for C, legs_c in zip(members, row):
                 for i_b in legs_b:
                     for i_c in legs_c:
-                        if not completed(b, i_b, c, i_c):
-                            A, B, C = members[a], members[b], members[c]
+                        if not completed(B, i_b, C, i_c):
                             labels = (A.labels, B.labels, C.labels)
-                            return _witness(A, B, C, i_b, i_c, labels), _refuted(len(order))
+                            return _witness(A, B, C, i_b, i_c, labels), _refuted(len(members))
     return None, None
 
 

@@ -282,7 +282,7 @@ def cmd_amalgamate(args) -> int:
     )
 
     span = _decode(span_from_json, _read_json(args.span))
-    bound = args.bound if args.bound else span.B.size + span.C.size
+    bound = span.B.size + span.C.size if args.bound is None else args.bound
     if args.construct:
         res = amalgamate_components(span)
         ok = verify_amalgam(span, res)
@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("amalgamate", help="complete a span from SPAN.json")
     p.add_argument("span")
     p.add_argument("--one-sided", dest="one_sided", action="store_true")
-    p.add_argument("--bound", type=int, default=0)
+    p.add_argument("--bound", type=int)
     p.add_argument("--class", dest="cls")
     p.add_argument("--construct", action="store_true", help="use the component zipper")
     _add_common(p)

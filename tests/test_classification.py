@@ -16,6 +16,7 @@ from resichain import (
     Refuted,
     all_sixty,
     ap_verdict,
+    canonical_order,
     canonical_signature,
     class_members,
     class_signatures,
@@ -321,6 +322,24 @@ def test_span_search_does_not_depend_on_the_sets_searched_before(
         for order in orders:
             got = [refutation(find_refuting_span(sets[i])) for i in order]
             assert got == [want[i] for i in order]
+
+
+def test_a_chain_class_keeps_its_members_in_canonical_order():
+    # the span search and the audit scan K.members as they are, so the
+    # constructor, not from_chains alone, must canonicalize them
+    rng = random.Random(5)
+    for K in seeded_closures():
+        pool = [*K.members, *(relabeled(c, "x") for c in K.members), *K.members]
+        chains = rng.sample(pool, len(pool))
+        direct, built = ChainClass(members=chains), ChainClass.from_chains(chains)
+        firsts = {}
+        for c in chains:
+            firsts.setdefault(c.signature, c)
+        assert direct.members == tuple(canonical_order(chains))
+        assert all(c is firsts[c.signature] for c in direct.members)
+        assert refutation(find_refuting_span(direct)) == refutation(find_refuting_span(built))
+        assert closure_rule_violations(direct) == closure_rule_violations(built)
+        assert ap_verdict(direct).as_dict() == ap_verdict(built).as_dict()
 
 
 def test_classifier_requires_a_closed_input():

@@ -5,6 +5,7 @@ traceback would show."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +202,8 @@ CONTRACT_CASES = [
     (["verify", "lemma:ap-verdict", "--max-size", "0"], None, 2),
     (["verify", "lemma:counting", "--jobs", "0"], None, 2),
     (["verify", "lemma:counting", "--jobs", "-1"], None, 2),
+    # 0 is a bound like any other, not "no bound"
+    (["amalgamate", "SPAN", "--bound", "0"], None, 2),
 ]
 
 
@@ -223,6 +226,7 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
         "LIST": str(listed),
         "INFINITE": str(infinite),
         "GO24": str(go24),
+        "SPAN": span_file(tmp_path, crossing_span_dict()),
         "MISSING": str(tmp_path / "missing"),
     }
     proc = run_interpreter(["-m", "resichain.cli", *[files.get(a, a) for a in argv]], stdin)
@@ -582,3 +586,38 @@ def test_pipe_round_trip_through_the_interpreter():
     )
     reparsed = chain_from_json(json.loads(out.stdout))
     assert canonical_signature(reparsed) == canonical_signature(com(1, 1))
+
+
+def readme_commands():
+    """Each `$ resichain ...` line in the README's fenced blocks, with the
+    output lines shown under it (up to a blank line or the next command)."""
+    readme = Path(resichain.__file__).parents[2] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    out = []
+    for block in blocks:
+        for chunk in block.split("\n$ ")[1:]:
+            command, *shown = chunk.split("\n\n")[0].splitlines()
+            if command.startswith("resichain "):
+                out.append((command, shown))
+    return out
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_the_readme_examples_are_found():
+    assert any(" | " in command for command, _ in README_COMMANDS)
+    assert any(not shown for _, shown in README_COMMANDS)
+
+
+@pytest.mark.parametrize("command,shown", README_COMMANDS, ids=[c for c, _ in README_COMMANDS])
+def test_readme_cli_examples_print_what_they_show(command, shown):
+    stdout = None
+    for stage in command.split(" | "):
+        verb, *argv = shlex.split(stage)
+        assert verb == "resichain"
+        proc = run_interpreter(["-m", "resichain.cli", *argv], stdout)
+        assert proc.returncode == 0, proc.stderr
+        stdout = proc.stdout
+    lines = stdout.splitlines()
+    assert all(line in lines for line in shown), (shown, lines)
