@@ -13,7 +13,7 @@ one-sided completion inside the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, List, Optional, Tuple
@@ -38,10 +38,14 @@ def param_text(value) -> str:
 
 
 def parse_param(text: str):
+    """0, 1 or ω from its text; None for text that is not a number."""
     text = text.strip()
     if text == "w":
         return OMEGA
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        return None
     if value not in (0, 1):
         raise ValueError("parameters range over 0, 1, w")
     return value
@@ -129,9 +133,12 @@ def parse_class(text: str) -> CanonicalClass:
     """Parse `e:P`, `fin:M,P,N`, `inf:M,P,N`, `fin:M,0,N+e:P`, or
     `inf:0,0,N+e:P` with `w` standing for ω. CanonicalClass enforces each
     family's own parameter rules."""
+    unrecognized = ValueError(f"unrecognized class syntax: {text!r}")
     head, *tail = text.strip().split("+")
     family, _, params = head.partition(":")
     values = [parse_param(v) for v in params.split(",")]
+    if None in values:
+        raise unrecognized
     if family == E_FAMILY and len(values) == 1 and not tail:
         return CanonicalClass(E_FAMILY, p=values[0])
     if family in (FIN, INF) and len(values) == 3:
@@ -141,9 +148,12 @@ def parse_class(text: str) -> CanonicalClass:
         if len(tail) == 1 and tail[0].startswith("e:"):
             if p != 0:
                 raise ValueError("the union form fixes the middle parameter to 0")
+            tail_p = parse_param(tail[0][2:])
+            if tail_p is None:
+                raise unrecognized
             family = FIN_UNION_E if family == FIN else INF_UNION_E
-            return CanonicalClass(family, m=m, n=n, p=parse_param(tail[0][2:]))
-    raise ValueError(f"unrecognized class syntax: {text!r}")
+            return CanonicalClass(family, m=m, n=n, p=tail_p)
+    raise unrecognized
 
 
 def all_sixty() -> List[CanonicalClass]:
@@ -237,9 +247,16 @@ def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> Candid
 @dataclass(frozen=True, slots=True)
 class ChainClass:
     """A finite set of chains, deduplicated up to isomorphism: members
-    keeps one chain per signature (the first listed), in canonical_order."""
+    keeps one chain per signature (the first listed), in canonical_order.
+
+    A ChainClass also remembers what was worked out about it: whether it
+    is known to be HS-closed (set by hs_closure on the non-empty sets it
+    builds, and by classify after its first successful check) and its
+    ap_verdict. Neither takes part in ==, hash or repr."""
 
     members: tuple
+    _closed: bool = field(init=False, repr=False, compare=False, default=False)
+    _verdict: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(canonical_order(self.members)))
@@ -311,8 +328,9 @@ def _bits(members: tuple) -> list:
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     """Least superset closed under subalgebras and quotients. A closure
     whose members are the very chain objects of an earlier one returns
-    that earlier ChainClass. Label variants compare equal, so each gets
-    its own."""
+    that earlier ChainClass, with the verdict it remembers. Label variants
+    compare equal, so each gets its own. A non-empty result is marked
+    HS-closed, so classify does not check it again."""
     pool = {}
     work = list(generators)
     while work:
@@ -327,6 +345,7 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     for earlier in variants:
         if all(x is y for x, y in zip(earlier.members, K.members)):
             return earlier
+    object.__setattr__(K, "_closed", bool(K.members))
     _make_room()
     _CLOSED[K.members] = variants + (K,)
     return K
@@ -344,10 +363,14 @@ def classify(K: ChainClass) -> Optional[CanonicalClass]:
     """The class among the sixty whose member set is K, or None.
 
     Only a finite class can equal a finite K, so K's signature set is
-    looked up among the twelve finite classes.
+    looked up among the twelve finite classes. An empty or non-closed K
+    raises NotHSClosed on every call; a K found closed once is marked so
+    and not walked again.
     """
-    if not K.members or not K.is_hs_closed():
-        raise NotHSClosed()
+    if not K._closed:
+        if not K.is_hs_closed():
+            raise NotHSClosed()
+        object.__setattr__(K, "_closed", True)
     return _finite_classes().get(K.signatures())
 
 
@@ -549,10 +572,16 @@ def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]
 def ap_verdict(K: ChainClass):
     """HasAP with the canonical class when K is one of the sixty member
     sets; otherwise NoAP carrying the closure-rule audit and, when one
-    is found, a concretely refuted span."""
-    cand = classify(K)
-    if cand is not None:
-        return _has_ap(cand)
-    audit = closure_rule_violations(K)
-    witness, refutation = find_refuting_span(K)
-    return NoAP(audit=audit, witness=witness, refutation=refutation)
+    is found, a concretely refuted span. The verdict is kept on K, and a
+    later call for the same K returns that object."""
+    verdict = K._verdict
+    if verdict is None:
+        cand = classify(K)
+        if cand is not None:
+            verdict = _has_ap(cand)
+        else:
+            audit = closure_rule_violations(K)
+            witness, refutation = find_refuting_span(K)
+            verdict = NoAP(audit=audit, witness=witness, refutation=refutation)
+        object.__setattr__(K, "_verdict", verdict)
+    return verdict

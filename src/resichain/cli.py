@@ -281,6 +281,13 @@ def cmd_amalgamate(args) -> int:
         verify_amalgam,
     )
 
+    if args.construct:
+        # the zipper builds one amalgam and searches no pool
+        search = {"--bound": args.bound is not None, "--class": args.cls,
+                  "--one-sided": args.one_sided}
+        given = [name for name, value in search.items() if value]
+        if given:
+            _usage_error(f"--construct does not take {', '.join(given)}")
     span = _decode(span_from_json, _read_json(args.span))
     bound = span.B.size + span.C.size if args.bound is None else args.bound
     if args.construct:

@@ -94,6 +94,14 @@ def test_parse_rejects_malformed_class_text():
             parse_class(text)
 
 
+def test_parse_names_a_class_text_whose_parameter_is_no_number():
+    # int()'s own message would name only the parameter, not the text
+    for text in ("nope", "e:", "inf:a,b,c", "e:w:1", "fin:1,0,1+e:x"):
+        with pytest.raises(ValueError) as err:
+            parse_class(text)
+        assert str(err.value) == f"unrecognized class syntax: {text!r}"
+
+
 def test_class_parameters_are_validated():
     with pytest.raises(ValueError):
         CanonicalClass("fin", m=OMEGA, n=0, p=0)  # p below m
@@ -440,3 +448,73 @@ def test_verdict_refutes_the_capped_upper_side_class():
     assert any(v.rule == "iv" for v in verdict.audit)
     assert verdict.witness is not None
     assert isinstance(verdict.refutation, Refuted)
+
+
+# --- what a closure remembers --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def closures():
+    """hs_closure of the 643 small HS-closed sets and of their relabeled
+    copies, then the 25 seeded closures."""
+    small = small_closed_sets()
+    small += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in small]
+    return [hs_closure(K.members) for K in small] + seeded_closures()
+
+
+def verdict_record(verdict) -> list:
+    """A verdict as a caller reads it, witness labels and count included."""
+    record = [verdict.as_dict()]
+    if isinstance(verdict, NoAP) and verdict.witness is not None:
+        w = verdict.witness
+        record += [[c.labels for c in (w.A, w.B, w.C)], verdict.refutation.checked]
+    return record
+
+
+def test_a_closure_remembers_its_verdict(monkeypatch, closures):
+    with monkeypatch.context() as patch:
+        # a limit of 0 starts the shared tables over on every call, and
+        # from_chains builds a K that remembers nothing
+        patch.setattr(classification, "_SHARED_LIMIT", 0)
+        cold = [verdict_record(ap_verdict(ChainClass.from_chains(K.members))) for K in closures]
+    warm = [ap_verdict(K) for K in closures]
+    assert all(ap_verdict(K) is verdict for K, verdict in zip(closures, warm))
+    assert [verdict_record(verdict) for verdict in warm] == cold
+    assert sum(isinstance(verdict, HasAP) for verdict in warm) >= 2 * 11
+
+
+def test_classify_does_not_walk_a_closure_that_hs_closure_built(monkeypatch, closures):
+    want = [classify(ChainClass.from_chains(K.members)) for K in closures]
+
+    def refuse(self):
+        raise AssertionError("walked a set that hs_closure built")
+
+    monkeypatch.setattr(ChainClass, "is_hs_closed", refuse)
+    assert [classify(K) for K in closures] == want
+    fresh = [hs_closure(relabeled(c, "h") for c in K.members) for K in closures[-25:]]
+    assert [classify(K) for K in fresh] == want[-25:]
+
+
+def test_an_unclosed_or_empty_set_is_refused_on_every_call(capsys, tmp_path):
+    from resichain.cli import main
+
+    for K in (ChainClass.from_chains([com(1, 1)]), hs_closure([])):
+        for _ in range(2):
+            with pytest.raises(NotHSClosed):
+                classify(K)
+            with pytest.raises(NotHSClosed):
+                ap_verdict(K)
+    assert hs_closure([]) is hs_closure([])
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for _ in range(2):
+        assert main(["classify", str(empty)]) == 1
+        assert capsys.readouterr().out == '{"error": "NotHSClosed"}\n'
+
+
+def test_what_a_closure_remembers_is_not_part_of_its_value():
+    for generators in ([go(2)], [com(1, 1)]):
+        K = hs_closure(generators)
+        ap_verdict(K)
+        same = ChainClass.from_chains(K.members)
+        assert same == K and hash(same) == hash(K) and repr(same) == repr(K)

@@ -204,6 +204,10 @@ CONTRACT_CASES = [
     (["verify", "lemma:counting", "--jobs", "-1"], None, 2),
     # 0 is a bound like any other, not "no bound"
     (["amalgamate", "SPAN", "--bound", "0"], None, 2),
+    # the zipper builds one amalgam and searches no pool
+    (["amalgamate", "SPAN", "--construct", "--bound", "5"], None, 2),
+    (["amalgamate", "SPAN", "--construct", "--class", "e:0"], None, 2),
+    (["amalgamate", "SPAN", "--construct", "--class", "e:0", "--one-sided"], None, 2),
 ]
 
 
@@ -232,7 +236,10 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
     proc = run_interpreter(["-m", "resichain.cli", *[files.get(a, a) for a in argv]], stdin)
     assert "Traceback" not in proc.stderr
     if want == 2:
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        if not proc.stderr.startswith("usage:"):
+            # argparse prints its usage too; our own usage errors are one line
+            assert len(proc.stderr.splitlines()) == 1
     else:
         lines = proc.stdout.splitlines()
         assert proc.returncode == 1
@@ -362,6 +369,21 @@ def test_amalgamate_rejects_a_broken_span(capsys, tmp_path):
     code, got = run_json(capsys, "amalgamate", path)
     assert code == 1
     assert got["error"] == "InvalidSpan"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["ap", "--class", "nope"], "nope"),
+        (["amalgamate", "SPAN", "--class", "inf:a,b,c"], "inf:a,b,c"),
+    ],
+)
+def test_a_malformed_class_text_is_one_usage_line(capsys, tmp_path, argv, text):
+    files = {"SPAN": span_file(tmp_path, crossing_span_dict())}
+    with pytest.raises(SystemExit) as err:
+        main([files.get(a, a) for a in argv])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"unrecognized class syntax: {text!r}\n")
 
 
 def generators_file(tmp_path, chains, name="gens.json"):
