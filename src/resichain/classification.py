@@ -295,22 +295,20 @@ def _hs_images(chain: FiniteChain, labels) -> tuple:
     return tuple(images)
 
 
-# Equal closures and the audits of equal signature sets come back as one
-# shared object, and span completions are remembered across calls. The
-# tables start over together once one of them holds _SHARED_LIMIT entries:
-# the masks in _AUDITS and _COMPLETIONS are read through _BITS, so
-# clearing one without the other would make them name the wrong chains.
+# Equal closures come back as one shared object, and span completions are
+# remembered across calls. The tables start over together once one of
+# them holds _SHARED_LIMIT entries: the masks in _COMPLETIONS are read
+# through _BITS, so clearing one without the other would make them name
+# the wrong chains.
 _SHARED_LIMIT = 1 << 16
 # members tuple -> the ChainClasses built on it, one per label variant
 _CLOSED: dict = {}
-# the mask of K's members -> K's audit
-_AUDITS: dict = {}
 # chain signature -> its bit in the masks
 _BITS: dict = {}
 # (B.signature, i_B, C.signature, i_C) -> (mask of the D's known to
 # complete the span, mask of the D's known not to)
 _COMPLETIONS: dict = {}
-_SHARED_TABLES = (_CLOSED, _AUDITS, _BITS, _COMPLETIONS)
+_SHARED_TABLES = (_CLOSED, _BITS, _COMPLETIONS)
 
 
 def _make_room() -> None:
@@ -389,16 +387,6 @@ _RULE_TEXT = {
 _AUDIT_SIZE_CAP = 9
 
 
-@lru_cache(maxsize=None)
-def _signature(pairs: tuple, q: int) -> DecompositionSignature:
-    return DecompositionSignature(pairs, q)
-
-
-@lru_cache(maxsize=None)
-def _violation(rule: str, premises: tuple, missing: DecompositionSignature) -> "RuleViolation":
-    return RuleViolation(rule, premises, missing)
-
-
 @dataclass(frozen=True)
 class RuleViolation:
     rule: str
@@ -415,76 +403,74 @@ class RuleViolation:
 
 
 def closure_rule_violations(K: ChainClass) -> tuple:
-    """Audit of the seven closure consequences of amalgamability, checked
-    on every instantiation whose conclusion has at most _AUDIT_SIZE_CAP
-    elements. Only require reads that cap, measuring each conclusion by
-    DecompositionSignature.size, and the rules are listed in _RULE_TEXT's
-    order. The audit depends only on K's signature set, so it is worked
-    out once per set, which the mask of its members' bits names, and a
-    later K with the same set gets the same tuple. Equal violations are
-    one shared object."""
-    _make_room()
-    key = sum(_bits(K.members))
-    audit = _AUDITS.get(key)
-    if audit is None:
-        audit = _AUDITS[key] = _audit(K.signatures())
-    return audit
-
-
-def _audit(sigs: frozenset) -> tuple:
-    components = [s for s in sigs if len(s.pairs) == 1 and s.p == 0]
-    tails = [s for s in sigs if not s.pairs]
-    found = []
-    seen = set()
-
-    def require(rule: str, premises: tuple, pairs: tuple, q: int) -> bool:
-        """False when the conclusion is over the cap; otherwise record a
-        violation unless K has the conclusion, and return True."""
-        cand = _signature(pairs, q)
-        if cand.size > _AUDIT_SIZE_CAP:
-            return False
-        if cand not in sigs and (rule, cand) not in seen:
-            seen.add((rule, cand))
-            found.append(_violation(rule, tuple(s.text() for s in premises), cand))
-        return True
-
+    """Audit of the seven closure consequences of amalgamability: every
+    instance from _instances whose premises are in K and whose conclusion
+    is not, one per rule and missing signature, sorted by rule in
+    _RULE_TEXT's order, then by the missing signature. When members of K
+    give the same conclusion, the first in K.signatures() order names the
+    premises. Equal violations are one shared object."""
+    sigs = K.signatures()
+    found = {}
     for sig in sigs:
-        if sig.p == 2:
-            n = 1
-            while require("i", (sig,), sig.pairs, n):
-                n += 1
-        if sig.pairs[:2] == ((0, 0), (0, 0)):
-            k = 1
-            while require("ii", (sig,), ((0, 0),) * k + sig.pairs[2:], sig.p):
-                k += 1
-        for i, pair in enumerate(sig.pairs):
-            if pair == (0, 0):
-                for other in components:
-                    swapped = sig.pairs[:i] + other.pairs + sig.pairs[i + 1 :]
-                    require("vi", (sig, other), swapped, sig.p)
-        if sig.p == 1:
-            for other in tails:
-                require("vii", (sig, other), sig.pairs, other.p)
-    for sig in components:
+        for other, violation in _instances(sig):
+            if (other is None or other in sigs) and violation.missing not in sigs:
+                found.setdefault((violation.rule, violation.missing), violation)
+    order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
+    return tuple(
+        sorted(
+            found.values(),
+            key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p),
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def _instances(sig: DecompositionSignature) -> tuple:
+    """Every rule instance whose first premise is sig and whose conclusion
+    has at most _AUDIT_SIZE_CAP elements (measured by
+    DecompositionSignature.size), as (second premise or None, the
+    violation it reports when its conclusion is missing). Only this
+    function reads the cap. A second premise is never larger than the
+    conclusion, so the partners are the components and tails up to the
+    cap."""
+    small = _all_signatures(_AUDIT_SIZE_CAP)
+    components = [s for s in small if len(s.pairs) == 1 and s.p == 0]
+    tails = [s for s in small if not s.pairs]
+    # every stack height, side length and tail length that can still fit
+    lengths = range(_AUDIT_SIZE_CAP)
+    candidates = []
+    if sig.p == 2:
+        candidates += [("i", None, sig.pairs, n) for n in lengths[1:]]
+    if sig.pairs[:2] == ((0, 0), (0, 0)):
+        candidates += [("ii", None, ((0, 0),) * k + sig.pairs[2:], sig.p) for k in lengths[1:]]
+    for i, pair in enumerate(sig.pairs):
+        if pair == (0, 0):
+            candidates += [
+                ("vi", other, sig.pairs[:i] + other.pairs + sig.pairs[i + 1 :], sig.p)
+                for other in components
+            ]
+    if sig.p == 1:
+        candidates += [("vii", other, sig.pairs, other.p) for other in tails]
+    if len(sig.pairs) == 1 and sig.p == 0:
         ((r, s),) = sig.pairs
         if r == 2:
-            m = 0
-            while require("iii", (sig,), ((m, s),), 0):
-                m += 1
-            m = 0
-            while require("iii", (sig,), (), m):
-                m += 1
+            candidates += [("iii", None, ((m, s),), 0) for m in lengths]
+            candidates += [("iii", None, (), m) for m in lengths]
         if s == 2:
-            n = 0
-            while require("iv", (sig,), ((r, n),), 0):
-                n += 1
+            candidates += [("iv", None, ((r, n),), 0) for n in lengths]
         if s == 0:
-            for other in components:
-                if other.pairs[0][0] == 0:
-                    require("v", (sig, other), ((r, other.pairs[0][1]),), 0)
-    order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
-    found.sort(key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p))
-    return tuple(found)
+            candidates += [
+                ("v", other, ((r, other.pairs[0][1]),), 0)
+                for other in components
+                if other.pairs[0][0] == 0
+            ]
+    out = []
+    for rule, other, pairs, q in candidates:
+        missing = DecompositionSignature(pairs, q)
+        if missing.size <= _AUDIT_SIZE_CAP:
+            premises = (sig,) if other is None else (sig, other)
+            out.append((other, RuleViolation(rule, tuple(p.text() for p in premises), missing)))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -147,6 +147,8 @@ _IMAGES: dict = {}
 # FiniteChain.__eq__ for every label variant.
 _EMBEDDINGS: dict = {}
 _HOMOMORPHISMS: dict = {}
+# a.signature -> (quotient, projection image) for each congruence of a
+_QUOTIENTS: dict = {}
 
 
 def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
@@ -303,14 +305,16 @@ def quotient(chain: FiniteChain, cong: Congruence):
 
 
 def homomorphism_images(a: FiniteChain, b: FiniteChain) -> tuple:
-    """Image tuples of every homomorphism a -> b, sorted; memoized."""
+    """Image tuples of every homomorphism a -> b, sorted; memoized, and
+    each domain's quotients are worked out once for every codomain."""
     key = (a.signature, b.signature)
     images = _HOMOMORPHISMS.get(key)
     if images is None:
-        out = []
-        for cong in congruences(a):
-            q, proj = quotient(a, cong)
-            out.extend(tuple(f[v] for v in proj.image) for f in embedding_images(q, b))
+        quotients = _QUOTIENTS.get(a.signature)
+        if quotients is None:
+            pairs = (quotient(a, cong) for cong in congruences(a))
+            quotients = _QUOTIENTS[a.signature] = [(q, proj.image) for q, proj in pairs]
+        out = [tuple(f[v] for v in proj) for q, proj in quotients for f in embedding_images(q, b)]
         images = _HOMOMORPHISMS[key] = tuple(_IMAGES.setdefault(f, f) for f in sorted(out))
     return images
 

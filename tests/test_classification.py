@@ -1,6 +1,8 @@
 """The sixty-class catalogue, membership, HS-closure, the classifier,
 the closure-rule audit, and AP verdicts."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -403,15 +405,30 @@ def test_rule_audit_lists_every_missing_conclusion_up_to_the_cap(
         assert hits[-1].missing.size == _AUDIT_SIZE_CAP == 9
 
 
-def test_rule_audits_are_remembered_per_signature_set(monkeypatch):
+def test_rule_audit_does_not_depend_on_the_sets_audited_before():
+    # the instance lists are remembered per signature, so every set is
+    # audited with the lists built afresh, again, and in reverse order
     sets = small_closed_sets() + seeded_closures()
-    with monkeypatch.context() as patch:
-        # a limit of 0 starts the shared tables over on every call
-        patch.setattr(classification, "_SHARED_LIMIT", 0)
-        cold = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
+    classification._instances.cache_clear()
+    cold = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
     warm = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
     again = [[v.as_dict() for v in closure_rule_violations(K)] for K in reversed(sets)]
     assert warm == cold and again[::-1] == cold
+
+
+# SHA-256 of the audits below, taken from the per-set audit that the
+# per-signature instance lists replaced: rule order, missing signatures,
+# premises and texts must all stay as they were
+AUDIT_DIGEST = "3d45a53afdaa59c34bc8c3325e6aa9e267deadf342220be6be11689f6c2801af"
+
+
+def test_rule_audits_match_the_pinned_digest():
+    sets = small_closed_sets() + seeded_closures()
+    sets += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in sets]
+    audits = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
+    blob = json.dumps(audits, ensure_ascii=False, sort_keys=True).encode()
+    assert len(sets) == 2 * (643 + 25) and sum(map(len, audits)) == 28470
+    assert hashlib.sha256(blob).hexdigest() == AUDIT_DIGEST
 
 
 def test_rule_audit_is_clean_on_every_canonical_class():

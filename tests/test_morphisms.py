@@ -18,6 +18,7 @@ from resichain import (
     predicates,
     quotient,
 )
+from resichain import morphisms
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import (
     brute_congruence_blocks,
@@ -213,6 +214,27 @@ def test_homs_match_definitional_scan():
             if definitional_homomorphism(a, b, image, ta, tb)
         }
         assert found == expected
+
+
+def test_each_domain_is_quotiented_once_for_every_codomain(monkeypatch):
+    # a domain's quotients do not depend on the codomain, so only the
+    # first codomain pays for them
+    a = nested_sum([com(1, 1), go(2)])
+    codomains = [go(k) for k in range(5)] + [com(1, 1), com(0, 2), a]
+    want = [morphisms.homomorphism_images(a, b) for b in codomains]
+    calls = []
+    real = morphisms.quotient
+
+    def counted(chain, cong):
+        calls.append(chain)
+        return real(chain, cong)
+
+    monkeypatch.setattr(morphisms, "quotient", counted)
+    monkeypatch.setattr(morphisms, "_QUOTIENTS", {})
+    monkeypatch.setattr(morphisms, "_HOMOMORPHISMS", {})
+    for _ in range(3):
+        assert [morphisms.homomorphism_images(a, b) for b in codomains] == want
+    assert len(calls) == len(congruences(a)) > 1
 
 
 # --- subcover criterion -----------------------------------------------
