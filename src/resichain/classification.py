@@ -408,7 +408,9 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     is not, one per rule and missing signature, sorted by rule in
     _RULE_TEXT's order, then by the missing signature. When members of K
     give the same conclusion, the first in K.signatures() order names the
-    premises. Equal violations are one shared object."""
+    premises. That is frozenset iteration order, which follows the
+    signatures' hash values, hash((pairs, p)): a different hash would
+    name other premises. Equal violations are one shared object."""
     sigs = K.signatures()
     found = {}
     for sig in sigs:
@@ -520,7 +522,11 @@ def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]
     in one of the span's two masks, and only the members of K not yet
     decided are asked. Only the witness becomes a Span. K's members are
     one per signature in canonical order, as find_amalgam scans
-    candidates, so the refutation counts them all."""
+    candidates, so the refutation counts them all.
+
+    Spans whose A is the one-element chain are skipped: B itself completes
+    each of them, with j_B the identity and j_C mapping all of C to the
+    unit, so none of them is ever the witness."""
     _make_room()
     members = K.members
     bits = _bits(members)
@@ -542,6 +548,8 @@ def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]
         return False
 
     for A in members:
+        if A.size == 1:
+            continue
         row = [embedding_images(A, y) for y in members]
         for B, legs_b in zip(members, row):
             if not legs_b:

@@ -9,41 +9,75 @@ off the component parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .chain import FiniteChain, predicates
 from .constructors import com, go, nested_sum
 from .errors import NotCommutative, NotIdempotent
 
 
-@dataclass(frozen=True)
+# (pairs, p) -> its one DecompositionSignature, kept for the process
+_INTERNED: dict = {}
+
+
 class DecompositionSignature:
-    """pairs lists (m_i, n_i) outermost first; p is the Gödel tail length."""
+    """pairs lists (m_i, n_i) outermost first; p is the Gödel tail length.
 
-    pairs: tuple
-    p: int
+    There is one object per value: DecompositionSignature(pairs, p)
+    returns the object already made for (pairs, p), also after pickling or
+    copying, so equal signatures are the same object and == is identity.
+    The hash is hash((pairs, p)) and, like size, is computed once. Set and
+    frozenset iteration order over signatures follows these hash values,
+    and so do the premises that closure_rule_violations reports; changing
+    the hash would change that output."""
 
-    def __post_init__(self):
-        for m, n in self.pairs:
+    __slots__ = ("pairs", "p", "size", "_hash", "_text")
+
+    def __new__(cls, pairs: tuple, p: int):
+        key = (pairs, p)
+        sig = _INTERNED.get(key)
+        if sig is not None:
+            return sig
+        size = p + 1
+        for m, n in pairs:
             if m < 0 or n < 0:
                 raise ValueError("component parameters must be naturals")
-        if self.p < 0:
+            size += m + n + 2
+        if p < 0:
             raise ValueError("tail length must be a natural")
+        sig = object.__new__(cls)
+        init = object.__setattr__
+        init(sig, "pairs", pairs)
+        init(sig, "p", p)
+        init(sig, "size", size)
+        init(sig, "_hash", hash(key))
+        init(sig, "_text", None)
+        return _INTERNED.setdefault(key, sig)
 
-    @property
-    def size(self) -> int:
-        return sum(m + n + 2 for m, n in self.pairs) + self.p + 1
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DecompositionSignature, (self.pairs, self.p)
+
+    def __repr__(self) -> str:
+        return f"DecompositionSignature(pairs={self.pairs!r}, p={self.p!r})"
 
     def text(self) -> str:
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        parts = [f"C({m},{n})" for m, n in self.pairs]
-        if self.p > 0 or not parts:
-            parts.append(f"Go_{self.p}")
-        return " ⊞ ".join(parts)
+        text = self._text
+        if text is None:
+            parts = [f"C({m},{n})" for m, n in self.pairs]
+            if self.p > 0 or not parts:
+                parts.append(f"Go_{self.p}")
+            text = " ⊞ ".join(parts)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def to_json(self) -> dict:
         return {"pairs": [list(pair) for pair in self.pairs], "p": self.p}

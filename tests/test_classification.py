@@ -35,6 +35,7 @@ from resichain import (
     sig_in_class,
 )
 from resichain import classification
+from resichain.amalgamation import _completion
 from resichain.chain import validate
 from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
@@ -316,6 +317,16 @@ def test_span_search_matches_the_reference_up_to_size_five(small_sets_and_answer
 
 def test_span_search_matches_the_reference_on_relabeled_closures():
     assert sum(assert_refutes_like_the_reference(K) for K in seeded_closures()) > 0
+
+
+def test_the_codomain_completes_every_span_out_of_the_trivial_chain():
+    # why find_refuting_span skips a one-element A: D = B completes the
+    # span, with j_B the identity and j_C mapping all of C to the unit
+    chains = [c for n in range(1, 6) for c in enumerate_chains(n)]
+    assert len(chains) == 104
+    for B in chains:
+        for C in chains:
+            assert _completion(B, (B.unit,), C, (C.unit,), B, True) is not None
 
 
 def test_span_search_does_not_depend_on_the_sets_searched_before(

@@ -1,7 +1,9 @@
 """Skeleton extraction, the nested-sum normal form, and signature
 counting."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ from resichain import (
     sugihara_skeleton,
     validate,
 )
+from resichain.classification import _all_signatures
 from resichain.constructors import com, go, nested_sum
 
 
@@ -155,6 +158,57 @@ def test_decompose_raises_on_every_call_for_a_chain_it_cannot_read():
         for _ in range(2):
             with pytest.raises(error):
                 decompose(chain)
+
+
+# --- one object per signature ---------------------------------------
+
+
+def test_equal_signatures_are_one_object():
+    sig = DecompositionSignature(((1, 0),), 2)
+    assert DecompositionSignature(pairs=((1, 0),), p=2) is sig
+    assert decompose(nested_sum([com(1, 0), go(2)])) is sig
+    assert DecompositionSignature(((1, 0),), 1) is not sig
+
+
+def test_a_signature_hashes_as_its_value_tuple():
+    # set iteration order over signatures, and with it the premises the
+    # closure-rule audit reports, follows these hash values
+    for sig in _all_signatures(8):
+        assert hash(sig) == hash((sig.pairs, sig.p))
+
+
+def test_pickling_and_copying_give_back_the_shared_signature():
+    sig = DecompositionSignature(((0, 2), (1, 1)), 3)
+    assert pickle.loads(pickle.dumps(sig)) is sig
+    assert copy.copy(sig) is sig and copy.deepcopy(sig) is sig
+
+
+def test_a_signature_cannot_be_changed():
+    sig = DecompositionSignature((), 4)
+    with pytest.raises(AttributeError):
+        sig.p = 5
+    with pytest.raises(AttributeError):
+        sig.extra = 1
+    with pytest.raises(AttributeError):
+        del sig.pairs
+    assert sig.p == 4 and DecompositionSignature((), 4) is sig
+
+
+@pytest.mark.parametrize("pairs, p", [((), -1), (((-1, 0),), 0), (((0, 0), (2, -3)), 1)])
+def test_a_negative_parameter_is_refused(pairs, p):
+    with pytest.raises(ValueError):
+        DecompositionSignature(pairs, p)
+    with pytest.raises(ValueError):
+        DecompositionSignature(pairs=pairs, p=p)
+
+
+def test_size_and_text_follow_their_formulas():
+    for sig in _all_signatures(12):
+        assert sig.size == sum(m + n + 2 for m, n in sig.pairs) + sig.p + 1 <= 12
+        parts = [f"C({m},{n})" for m, n in sig.pairs]
+        if sig.p > 0 or not parts:
+            parts.append(f"Go_{sig.p}")
+        assert sig.text() == " ⊞ ".join(parts)
 
 
 def test_label_variants_of_one_table_decompose_alike():
