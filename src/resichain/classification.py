@@ -323,21 +323,48 @@ def _bits(members: tuple) -> list:
     return [_BITS.setdefault(d.signature, 1 << len(_BITS)) for d in members]
 
 
+@lru_cache(maxsize=4096)
+def _closure_of(chain: FiniteChain, labels) -> dict:
+    """{canonical signature: chain} for the HS-closure of one chain, in
+    the order a last-in first-out walk of _hs_step images first reaches
+    each signature; label variants compare equal, so the key keeps their
+    closures apart."""
+    pool = {}
+    work = [chain]
+    while work:
+        c = work.pop()
+        key = canonical_signature(c)
+        if key not in pool:
+            pool[key] = c
+            work.extend(_hs_step(c))
+    return pool
+
+
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     """Least superset closed under subalgebras and quotients. A closure
     whose members are the very chain objects of an earlier one returns
     that earlier ChainClass, with the verdict it remembers. Label variants
     compare equal, so each gets its own. A non-empty result is marked
-    HS-closed, so classify does not check it again."""
+    HS-closed, so classify does not check it again.
+
+    The closure of a set is the union of its generators' closures, each
+    remembered by _closure_of. The last-in first-out walk of _hs_step
+    images from all the generators (selfcheck.reference_hs_closure) pops
+    the last generator first and finishes its closure before it pops the
+    next. Its pool is then HS-closed, so expanding a chain whose signature
+    is already in the pool reaches only signatures already there, and
+    skipping such a chain changes no first visit of a new signature. So
+    walking the generators in reverse, skipping each one whose signature
+    is already in, and adding the chains of the others' closures whose
+    signatures are new keeps the very chain objects, labels included,
+    that the walk keeps."""
     pool = {}
-    work = list(generators)
-    while work:
-        c = work.pop()
-        key = canonical_signature(c)
-        if key in pool:
-            continue
-        pool[key] = c
-        work.extend(_hs_step(c))
+    for g in reversed(list(generators)):
+        key = canonical_signature(g)
+        if key not in pool:
+            # chains already in the pool stay; g stands for its own signature
+            # even when the memo holds an equal copy that validate did not intern
+            pool = {**_closure_of(g, g.labels), **pool, key: g}
     K = ChainClass.from_chains(pool.values())
     variants = _CLOSED.get(K.members, ())
     for earlier in variants:

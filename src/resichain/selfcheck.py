@@ -51,7 +51,7 @@ from .morphisms import (
     is_embedding,
     quotient,
 )
-from .words import parse_word
+from .words import Periodic, parse_word
 from .zchain import as_unary, parse_element
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,39 @@ def brute_chains(n, idempotent=False):
     return sorted(found, key=lambda c: c.signature)
 
 
+def _word_width(word) -> int:
+    """A periodic word's period, or the width of a finite support (1 when
+    there is no one)."""
+    if isinstance(word, Periodic):
+        return len(word.bits)
+    return max(word.support, default=0) - min(word.support, default=0) + 1
+
+
+def _word_window(word, reach: int) -> str:
+    """The bits of a word on a stretch that shows every factor of length
+    up to reach: one period repeated past reach bits, or the stretch from
+    the first one to the last with reach zeros on either side."""
+    if isinstance(word, Periodic):
+        period = "".join(str(word.bit_at(i)) for i in range(len(word.bits)))
+        return period * (reach // len(period) + 2)
+    lo, hi = min(word.support, default=0), max(word.support, default=0)
+    ones = "".join(str(word.bit_at(i)) for i in range(lo, hi + 1))
+    return "0" * reach + ones + "0" * reach
+
+
+def brute_preorder_leq(w1, w2) -> bool:
+    """Whether every factor of w1 is a factor of w2, compared as factor
+    sets at every length up to 2(p1 + p2) + 12, where p is a word's
+    _word_width. Reads only bit_at."""
+    bound = 2 * (_word_width(w1) + _word_width(w2)) + 12
+    s1, s2 = _word_window(w1, bound), _word_window(w2, bound)
+    return all(
+        {s1[k : k + n] for k in range(len(s1) - n + 1)}
+        <= {s2[k : k + n] for k in range(len(s2) - n + 1)}
+        for n in range(1, bound + 1)
+    )
+
+
 def reference_find_amalgam(
     span, class_membership, size_bound, one_sided=False, *, complete=False, candidates
 ):
@@ -258,6 +291,22 @@ def reference_find_refuting_span(K):
         if isinstance(res, Refuted):
             return span, res
     return None, None
+
+
+def reference_hs_closure(generators):
+    """hs_closure's contract, built the plain way: one last-in first-out
+    walk of _hs_step images from all the generators, keeping the first
+    chain reached for each signature. Only the tests call it."""
+    pool = {}
+    work = list(generators)
+    while work:
+        c = work.pop()
+        key = canonical_signature(c)
+        if key in pool:
+            continue
+        pool[key] = c
+        work.extend(_hs_step(c))
+    return ChainClass.from_chains(pool.values())
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,15 @@ from resichain import (
 )
 from resichain import classification
 from resichain.amalgamation import _completion
-from resichain.chain import validate
+from resichain.chain import FiniteChain, validate
 from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
-from resichain.selfcheck import _hs_closed_sets, reference_find_refuting_span, suite_ap_verdict
+from resichain.selfcheck import (
+    _hs_closed_sets,
+    reference_find_refuting_span,
+    reference_hs_closure,
+    suite_ap_verdict,
+)
 
 
 def sig_keys(chains):
@@ -263,16 +268,21 @@ def relabeled(chain, prefix: str):
     )
 
 
-def seeded_closures() -> list:
-    """25 closures of 1-3 chains of size <= 6 whose first generator is
+def seeded_generators() -> list:
+    """25 lists of 1-3 chains of size <= 6 whose first chain is
     relabeled."""
     rng = random.Random(7)
     chains = class_members(parse_class("inf:w,w,w"), 6)
-    closures = []
+    lists = []
     for _ in range(25):
         first, *rest = rng.sample(chains, rng.randint(1, 3))
-        closures.append(hs_closure([relabeled(first, "r"), *rest]))
-    return closures
+        lists.append([relabeled(first, "r"), *rest])
+    return lists
+
+
+def seeded_closures() -> list:
+    """The closures of seeded_generators."""
+    return [hs_closure(generators) for generators in seeded_generators()]
 
 
 def test_classifier_agrees_with_the_span_search_up_to_size_five():
@@ -546,3 +556,85 @@ def test_what_a_closure_remembers_is_not_part_of_its_value():
         ap_verdict(K)
         same = ChainClass.from_chains(K.members)
         assert same == K and hash(same) == hash(K) and repr(same) == repr(K)
+
+
+# --- closures merged from remembered single-generator closures ------------
+
+
+def generator_lists() -> list:
+    """The members of each small HS-closed set and of its relabeled copy,
+    the 25 seeded generator lists, and 40 seeded lists of size <= 6 chains
+    with a repeated chain and two label variants, each also shuffled."""
+    lists = [list(K.members) for K in small_closed_sets()]
+    lists += [[relabeled(c, "v") for c in members] for members in lists]
+    lists += seeded_generators()
+    rng = random.Random(18)
+    chains = class_members(parse_class("inf:w,w,w"), 6)
+    for _ in range(40):
+        generators = rng.choices(chains, k=rng.randint(1, 3))
+        generators.append(rng.choice(generators))
+        variant = rng.choice(generators)
+        q = relabeled(variant, "q")
+        generators += [q, relabeled(variant, "s")]
+        lists.append(generators)
+        # shuffled, then a copy of q that validate did not intern: it equals
+        # q, labels and all, and the walk pops it first and keeps it
+        copy = FiniteChain(q.size, q.unit, q.mult, q.labels)
+        lists.append(rng.sample(generators, len(generators)) + [copy])
+    return lists
+
+
+def members_record(K) -> list:
+    return [(canonical_signature(c), c.labels) for c in K.members]
+
+
+def test_hs_closure_keeps_the_chains_that_the_walk_keeps():
+    # a closure is merged from one remembered closure per generator; each
+    # signature must keep the very chain that the plain walk keeps
+    classification._closure_of.cache_clear()
+    classification._hs_images.cache_clear()
+    lists = generator_lists()
+    assert len(lists) == 2 * 643 + 25 + 2 * 40
+    for generators in lists:
+        got, want = hs_closure(generators).members, reference_hs_closure(generators).members
+        assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
+    # no image was evicted, so both sides met the same image objects
+    assert classification._hs_images.cache_info().currsize < 4096
+
+
+def test_hs_closure_does_not_depend_on_the_closures_built_before():
+    # the memos behind hs_closure start over between sets: _closure_of
+    # before every second set and _hs_images before every seventh, so that
+    # each one is also cleared without the other
+    lists = generator_lists()
+    want = [members_record(reference_hs_closure(generators)) for generators in lists]
+    got = []
+    for i, generators in enumerate(lists):
+        if i % 2 == 0:
+            classification._closure_of.cache_clear()
+        if i % 7 == 0:
+            classification._hs_images.cache_clear()
+        got.append(members_record(hs_closure(generators)))
+    assert got == want
+
+
+# SHA-256 of the verdicts below, taken from the walk over every generator
+# that the merge of remembered single-generator closures replaced: member
+# labels, witnesses, audits and refutation counts must all stay as they were
+VERDICT_DIGEST = "109d9d578dd38122c5c9b44da9968fb7027b82d526a9d33ce64fd5e5644a8bb9"
+
+
+def test_closure_verdicts_match_the_pinned_digest():
+    rng = random.Random(18)
+    chains = class_members(parse_class("inf:w,w,w"), 7)
+    records = []
+    for _ in range(2000):
+        K = hs_closure(rng.sample(chains, rng.randint(1, 3)))
+        verdict = ap_verdict(K)
+        refutation = getattr(verdict, "refutation", None)
+        records.append(
+            [verdict.as_dict(), [c.labels for c in K.members], refutation and refutation.checked]
+        )
+    blob = json.dumps(records, ensure_ascii=False, sort_keys=True).encode()
+    assert sum(isinstance(record[2], int) for record in records) == 1905
+    assert hashlib.sha256(blob).hexdigest() == VERDICT_DIGEST

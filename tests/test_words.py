@@ -1,5 +1,6 @@
 """Bi-infinite words, the factor preorder, and minimality verdicts."""
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from resichain import (
     parse_word,
     preorder_leq,
 )
+from resichain.selfcheck import brute_preorder_leq
 
 
 def factor(word, start, length):
@@ -132,6 +134,31 @@ def test_periodic_comparison_never_stabilizes_early():
         w1 = Periodic(tuple(rng.randint(0, 1) for _ in range(p1)), rng.randint(-2, 2))
         w2 = Periodic(tuple(rng.randint(0, 1) for _ in range(p2)), rng.randint(-2, 2))
         assert preorder_leq(w1, w2) == bounded_leq(w1, w2, 4 * (p1 + p2))
+
+
+def test_preorder_matches_the_factor_set_oracle():
+    # every periodic word of period <= 4 in every phase, and every support
+    # in [0, 5) with at most three ones, against factor sets compared at
+    # every length up to 2(p1 + p2) + 12
+    words = [
+        Periodic(bits, phase)
+        for period in range(1, 5)
+        for bits in itertools.product((0, 1), repeat=period)
+        for phase in range(period)
+    ]
+    words += [
+        FiniteSupport(frozenset(ones))
+        for count in range(4)
+        for ones in itertools.combinations(range(5), count)
+    ]
+    assert len(words) == 98 + 26
+    disagree = [
+        (w1.text(), w2.text())
+        for w1 in words
+        for w2 in words
+        if preorder_leq(w1, w2) != brute_preorder_leq(w1, w2)
+    ]
+    assert disagree == []
 
 
 # --- minimality ---------------------------------------------------------
