@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .chain import FiniteChain, chain_from_json, enumerate_chains, enumeration_cap
@@ -129,7 +129,11 @@ class BoundExhausted:
 
 
 def verify_amalgam(span: Span, result: AmalgamResult) -> bool:
-    """Independent recheck of every amalgam invariant."""
+    """Independent recheck of every amalgam invariant: the legs' endpoints,
+    j_B an embedding, j_C a homomorphism (one-sided) or an embedding, and
+    the square commuting on A. The map checks are is_embedding and
+    is_homomorphism, which remember one verdict per distinct map but work
+    each one out from the chains' tables, never from the search."""
     jb, jc = result.j_B, result.j_C
     if jb.domain != span.B or jc.domain != span.C:
         return False
@@ -166,7 +170,9 @@ def canonical_order(chains: Iterable[FiniteChain]) -> list:
     firsts = {}
     for d in chains:
         firsts.setdefault(d.signature, d)
-    return sorted(firsts.values(), key=lambda d: (d.size, d.signature))
+    # the signature encodes the size first (a tag byte, then one byte below
+    # 256 and four big-endian bytes from 256 up), so it sorts by size too
+    return sorted(firsts.values(), key=attrgetter("signature"))
 
 
 def _default_candidates(size_bound: int) -> CandidatePool:

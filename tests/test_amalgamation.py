@@ -1,5 +1,6 @@
 """Spans, exhaustive amalgam search and constructive amalgamators."""
 
+import hashlib
 import itertools
 import random
 
@@ -26,6 +27,8 @@ from resichain import (
     spans_over,
     verify_amalgam,
 )
+from resichain import morphisms
+from resichain.morphisms import embedding_images
 from resichain.classification import all_sixty, class_members, hs_closure, parse_class
 from resichain.constructors import com, go
 from resichain.selfcheck import definitional_embedding, reference_find_amalgam, residual_tables
@@ -404,3 +407,68 @@ def test_two_sided_search_matches_the_reference():
             got = find_amalgam(*args, candidates=pool)
             want = reference_find_amalgam(*args, candidates=pool)
             assert_same_outcome(got, want)
+
+
+# --- pinned criterion-2 certificates -------------------------------------
+
+
+def criterion_2_sample():
+    """A seeded sample of criterion 2's spans, as (class index, A, B, C,
+    i_B image, i_C image): about 2,000 of the 71,236, drawn from each
+    class in proportion, at least one per class, then shuffled together."""
+    rng = random.Random(19)
+    sample = []
+    for ci, cls in enumerate(all_sixty()):
+        members = class_members(cls, 6)
+        spans = []
+        for a in members:
+            for b in members:
+                legs_b = embedding_images(a, b)
+                if not legs_b:
+                    continue
+                for c in members:
+                    legs_c = embedding_images(a, c)
+                    spans.extend((ci, a, b, c, i_b, i_c) for i_b in legs_b for i_c in legs_c)
+        sample += rng.sample(spans, max(1, round(len(spans) * 2000 / 71236)))
+    rng.shuffle(sample)
+    return sample
+
+
+def criterion_2_digest(sample, pools, clear_every=None):
+    """SHA-256 over the sample's spans, their search certificates and
+    their constructive amalgams, after the gate's checks on each one."""
+    digest = hashlib.sha256()
+    for n, (ci, a, b, c, i_b, i_c) in enumerate(sample):
+        if clear_every and n % clear_every == 0:
+            morphisms._VERDICTS.clear()
+        span = Span(a, b, c, ChainMap(a, b, i_b), ChainMap(a, c, i_c))
+        bound = b.size + c.size
+        res = find_amalgam(span, lambda d: True, bound, one_sided=True, candidates=pools[ci])
+        assert isinstance(res, AmalgamResult) and verify_amalgam(span, res)
+        try:
+            cons = amalgamate_components(span)
+        except ShapeMismatch:
+            cons = None
+        else:
+            assert verify_amalgam(span, cons)
+        record = [(ci, a.signature, b.signature, c.signature, i_b, i_c)]
+        for r in (res, cons):
+            record.append(r and (r.D.signature, r.D.labels, r.j_B.image, r.j_C.image))
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+# criterion_2_digest(criterion_2_sample(), ...) before map verdicts were
+# remembered
+CRITERION_2_SAMPLE_DIGEST = "0d89aba068b3e5c41f8b61b758c0016fb7bd32f333a9b08d6702d7b3605984f7"
+
+
+def test_criterion_2_certificates_match_the_pinned_digest():
+    # the gate checks that certificates are valid; this pins which ones
+    # the search and the zipper return, also while the verdict table
+    # keeps starting over
+    sample = criterion_2_sample()
+    assert len(sample) == 2011 and len({s[0] for s in sample}) == 60
+    pools = [class_members(cls, 12) for cls in all_sixty()]
+    assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
+    assert criterion_2_digest(sample, pools, clear_every=100) == CRITERION_2_SAMPLE_DIGEST

@@ -373,6 +373,32 @@ def test_a_chain_class_keeps_its_members_in_canonical_order():
         assert ap_verdict(direct).as_dict() == ap_verdict(built).as_dict()
 
 
+def below_first(size, unit):
+    """The idempotent commutative chain whose product is the factor that
+    comes first in the order 0, 1, ..., unit - 1, top, top - 1, ..., unit:
+    min below the unit, max above it, and the lower factor across it."""
+    rank = list(range(size))
+    rank[unit:] = range(size - 1, unit - 1, -1)
+
+    def first(x, y):
+        return x if rank[x] <= rank[y] else y
+
+    mult = tuple(tuple(first(x, y) for y in range(size)) for x in range(size))
+    return FiniteChain(size, unit, mult)
+
+
+def test_canonical_order_is_size_then_signature_order():
+    # canonical_order sorts on the signature alone; its encoding puts the
+    # size first, in one byte below 256 and in four bytes from 256 up
+    assert all(validate(6, u, below_first(6, u).mult) == below_first(6, u) for u in range(1, 6))
+    chains = [c for n in range(1, 6) for c in enumerate_chains(n)]
+    chains += [below_first(n, unit) for n in (255, 256, 300) for unit in (1, n // 2, n - 1)]
+    random.Random(3).shuffle(chains)
+    got = canonical_order(chains)
+    assert got == sorted(chains, key=lambda d: (d.size, d.signature))
+    assert [d.size for d in got][-9:] == [255] * 3 + [256] * 3 + [300] * 3
+
+
 def test_classifier_requires_a_closed_input():
     with pytest.raises(NotHSClosed):
         classify(ChainClass.from_chains([com(1, 1)]))

@@ -371,6 +371,20 @@ def test_amalgamate_rejects_a_broken_span(capsys, tmp_path):
     assert got["error"] == "InvalidSpan"
 
 
+@pytest.mark.parametrize("bad", [0.0, False, "0"])
+def test_amalgamate_rejects_legs_that_are_not_integers(capsys, tmp_path, bad):
+    # False used to be read as 0, and 0.0 and "0" ended in a TypeError's text
+    span = {"A": go(1).to_json(), "B": go(3).to_json(), "C": go(3).to_json(),
+            "iB": [bad, 3], "iC": [1, 3]}
+    code, out = run(capsys, "amalgamate", span_file(tmp_path, span), "--one-sided")
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {
+        "error": "MalformedInput",
+        "witness": f"image entries must be integers, got {bad!r}",
+    }
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

@@ -6,6 +6,7 @@ import pytest
 from resichain import (
     TRIVIAL,
     ChainMap,
+    FiniteChain,
     congruence_from_kernel,
     congruences,
     embeds,
@@ -77,6 +78,70 @@ def test_embedding_criterion_agrees_with_definitional_check():
                     a, b, image, tables[id(a)], tables[id(b)]
                 )
                 assert got == want
+
+
+@pytest.mark.parametrize("bad", [0.0, False, "0", None])
+def test_a_map_rejects_image_entries_that_are_not_integers(bad):
+    # 0.0 and False equal 0, so they would read an integer map's verdict
+    with pytest.raises(ValueError, match="image entries must be integers"):
+        ChainMap(go(1), go(3), (bad, 3))
+
+
+def test_a_map_keeps_its_image_as_a_tuple():
+    h = ChainMap(go(1), go(3), [0, 3])
+    assert h.image == (0, 3) and h == ChainMap(go(1), go(3), (0, 3))
+    assert is_embedding(h)
+
+
+# --- remembered verdicts ----------------------------------------------
+
+
+def every_map_between_small_chains():
+    from itertools import product
+
+    pool = [c for n in range(1, 4) for c in enumerate_chains(n)] + [com(1, 0), go(3)]
+    for a in pool:
+        for b in pool:
+            for image in product(range(b.size), repeat=a.size):
+                yield ChainMap(a, b, image)
+
+
+def test_remembered_verdicts_match_the_check_bodies(monkeypatch):
+    # a small limit makes the table start over many times along the way
+    monkeypatch.setattr(morphisms, "_VERDICT_LIMIT", 50)
+    morphisms._VERDICTS.clear()
+    maps = list(every_map_between_small_chains())
+    assert len(maps) > 1000
+    for _ in range(2):
+        for h in maps:
+            assert is_embedding(h) == morphisms._embedding_verdict(h)
+            assert is_homomorphism(h) == morphisms._homomorphism_verdict(h)
+            assert len(morphisms._VERDICTS) <= 50
+
+
+def test_verdicts_are_keyed_on_the_tables_not_the_labels():
+    a, b = go(1), go(3)
+    relabeled = FiniteChain(b.size, b.unit, b.mult, labels=("p", "q", "r", "s"))
+    morphisms._VERDICTS.clear()
+    assert is_embedding(ChainMap(a, b, (1, 3)))
+    assert is_embedding(ChainMap(a, relabeled, (1, 3)))
+    assert not is_embedding(ChainMap(a, relabeled, (3, 3)))
+    assert len(morphisms._VERDICTS) == 2
+
+
+def test_enumerations_and_the_criterion_suite_leave_the_verdict_table_alone():
+    from resichain.selfcheck import suite_embedding_criterion
+
+    morphisms._VERDICTS.clear()
+    # non-idempotent pairs check each enumerated leaf with the homomorphism body
+    pool = [c for c in enumerate_chains(4) if not predicates(c).idempotent]
+    assert pool
+    for a in pool:
+        for b in pool:
+            list(morphisms._embeddings_images(a, b))
+            morphisms.homomorphism_images(a, b)
+    assert suite_embedding_criterion(4, 0, 1)[1] == []
+    assert morphisms._VERDICTS == {}
 
 
 # --- embedding enumeration --------------------------------------------
