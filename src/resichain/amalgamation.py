@@ -304,40 +304,55 @@ def amalgamate_components(span: Span) -> AmalgamResult:
     two-sided chains: zip the below-unit element lists (and above-unit
     lists, in the two-sided case) around the anchor images of A. Never
     searches; the certificate is checked by the caller via
-    verify_amalgam."""
-    shapes = [_shape_of(x) for x in (span.A, span.B, span.C)]
+    verify_amalgam. Remembered per distinct span, a ShapeMismatch too:
+    criterion 2's 71,236 spans have 5,112 distinct ones."""
+    A, B, C = span.A, span.B, span.C
+    res = _components(A, B, C, span.i_B.image, span.i_C.image, (A.labels, B.labels, C.labels))
+    if res is None:
+        raise ShapeMismatch()
+    return res
+
+
+@lru_cache(maxsize=8192)
+def _components(A, B, C, i_b: tuple, i_c: tuple, labels: tuple) -> Optional[AmalgamResult]:
+    """_construct's amalgam, or None for a ShapeMismatch. Chains that
+    differ only in labels compare equal, so the labels of A, B and C are
+    part of the key."""
+    try:
+        return _construct(A, B, C, i_b, i_c)
+    except ShapeMismatch:
+        return None
+
+
+def _construct(A, B, C, i_b: tuple, i_c: tuple) -> AmalgamResult:
+    """The construction behind amalgamate_components, for the span with
+    leg images i_b: A→B and i_c: A→C; raises ShapeMismatch."""
+    shapes = [_shape_of(x) for x in (A, B, C)]
     # the trivial chain fits either family, so only sized chains vote
-    kinds = {
-        s[0] for s, x in zip(shapes, (span.A, span.B, span.C)) if x.size > 1
-    }
+    kinds = {s[0] for s, x in zip(shapes, (A, B, C)) if x.size > 1}
     if len(kinds) > 1:
         raise ShapeMismatch()
     kind = kinds.pop() if kinds else "go"
-    ua, ub, uc = span.A.unit, span.B.unit, span.C.unit
+    ua, ub, uc = A.unit, B.unit, C.unit
 
-    below_anchors = [
-        (span.i_B.image[x], span.i_C.image[x]) for x in range(ua)
-    ]
+    below_anchors = [(i_b[x], i_c[x]) for x in range(ua)]
     below = _zip_side(list(range(ub)), list(range(uc)), below_anchors)
 
     if kind == "go":
         above = []
         d = go(len(below))
     else:
-        above_anchors = [
-            (span.i_B.image[x], span.i_C.image[x])
-            for x in range(ua + 1, span.A.size)
-        ]
+        above_anchors = [(i_b[x], i_c[x]) for x in range(ua + 1, A.size)]
         above = _zip_side(
-            list(range(ub + 1, span.B.size)),
-            list(range(uc + 1, span.C.size)),
+            list(range(ub + 1, B.size)),
+            list(range(uc + 1, C.size)),
             above_anchors,
         )
         d = com(len(below) - 1, len(above) - 1)
     # the units pair up in the slot after the below-unit ones: d's unit
     # in both shapes
-    jb_img = [None] * span.B.size
-    jc_img = [None] * span.C.size
+    jb_img = [None] * B.size
+    jc_img = [None] * C.size
     for pos, (x, y) in enumerate(below + [(ub, uc)] + above):
         if x is not None:
             jb_img[x] = pos
@@ -345,7 +360,7 @@ def amalgamate_components(span: Span) -> AmalgamResult:
             jc_img[y] = pos
     return AmalgamResult(
         D=d,
-        j_B=ChainMap(span.B, d, tuple(jb_img)),
-        j_C=ChainMap(span.C, d, tuple(jc_img)),
+        j_B=ChainMap(B, d, tuple(jb_img)),
+        j_C=ChainMap(C, d, tuple(jc_img)),
         one_sided=False,
     )

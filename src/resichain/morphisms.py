@@ -160,13 +160,15 @@ def _embeddings_images(a: FiniteChain, b: FiniteChain) -> Iterable[tuple]:
                     yield tuple(images)
             return
         if x == a.unit:
-            choices = [b.unit] if b.unit >= low else []
+            # the elements below a's unit went strictly below b's
+            choices = (b.unit,)
+        elif x < a.unit:
+            # leave room below b's unit for the rest of a's lower part
+            choices = range(low, b.unit - (a.unit - x) + 1)
         else:
             hi = b.size - (a.size - x)  # leave room for the rest
             choices = range(low, hi + 1)
         for v in choices:
-            if x != a.unit and v == b.unit:
-                continue
             images[x] = v
             if not both_idem or closed_ok():
                 yield from extend(x + 1, v + 1)

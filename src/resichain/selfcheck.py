@@ -19,7 +19,7 @@ from .amalgamation import (
     BoundExhausted,
     CandidatePool,
     Refuted,
-    amalgamate_components,
+    _construct,
     find_amalgam,
     spans_over,
     verify_amalgam,
@@ -466,8 +466,8 @@ def suite_counting(max_size: int, seed: int, jobs: int):
     return _merge(_pmap(_counting_worker, list(range(1, max_size + 1)), jobs))
 
 
-def suite_component_amalgams(max_size: int, seed: int, jobs: int):
-    checked, failures = 0, []
+def _component_pool(max_size: int) -> list:
+    """The Gödel and two-sided chains up to max_size."""
     pool = [go(q) for q in range(0, max_size)]
     pool += [
         com(m, n)
@@ -475,9 +475,16 @@ def suite_component_amalgams(max_size: int, seed: int, jobs: int):
         for n in range(0, max_size)
         if m + n + 3 <= max_size
     ]
-    for span in spans_over(pool):
+    return pool
+
+
+def suite_component_amalgams(max_size: int, seed: int, jobs: int):
+    checked, failures = 0, []
+    for span in spans_over(_component_pool(max_size)):
         try:
-            res = amalgamate_components(span)
+            # the construction itself: every span here is a one-off, so going
+            # through amalgamate_components would only churn its memo
+            res = _construct(span.A, span.B, span.C, span.i_B.image, span.i_C.image)
         except ResichainError:
             continue
         checked += 1

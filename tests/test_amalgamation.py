@@ -27,11 +27,17 @@ from resichain import (
     spans_over,
     verify_amalgam,
 )
-from resichain import morphisms
+from resichain import amalgamation, morphisms
 from resichain.morphisms import embedding_images
 from resichain.classification import all_sixty, class_members, hs_closure, parse_class
 from resichain.constructors import com, go
-from resichain.selfcheck import definitional_embedding, reference_find_amalgam, residual_tables
+from resichain.selfcheck import (
+    _component_pool,
+    definitional_embedding,
+    reference_find_amalgam,
+    residual_tables,
+    suite_component_amalgams,
+)
 
 
 def inclusion(a, b, image):
@@ -272,6 +278,87 @@ def test_constructive_size_tracks_the_search_minimum():
         assert cons.D.size <= res.D.size + 1
 
 
+# --- remembered constructions -------------------------------------------
+
+
+def constructed(span):
+    """The construction body's result for span, or None for a ShapeMismatch."""
+    try:
+        return amalgamation._construct(span.A, span.B, span.C, span.i_B.image, span.i_C.image)
+    except ShapeMismatch:
+        return None
+
+
+def remembered(span):
+    try:
+        return amalgamate_components(span)
+    except ShapeMismatch:
+        return None
+
+
+def as_record(res):
+    return res and (res.to_json(), res.D.labels)
+
+
+def memo_spans():
+    """Every span over the component suite's size-6 pool and over the
+    commutative idempotent chains up to size 5."""
+    yield from spans_over(_component_pool(6))
+    yield from spans_over(class_members(parse_class("inf:w,w,w"), 5))
+
+
+def test_remembered_constructions_equal_the_body_also_when_the_memo_starts_over():
+    amalgamation._components.cache_clear()
+    spans = list(memo_spans())
+    want = [as_record(constructed(span)) for span in spans]
+    assert len(spans) > 2000 and None in want
+    # the second pass reads the first one's entries back; the third starts
+    # over every 97 spans
+    for clear_every in (None, None, 97):
+        got = []
+        for n, span in enumerate(spans):
+            if clear_every and n % clear_every == 0:
+                amalgamation._components.cache_clear()
+            got.append(as_record(remembered(span)))
+        assert got == want
+
+
+def relabeled(chain, tag):
+    return FiniteChain(chain.size, chain.unit, chain.mult, tuple(f"{tag}{x}" for x in chain.elements()))
+
+
+def test_remembered_constructions_carry_the_callers_labels():
+    a, b, c = com(0, 0), com(1, 0), com(0, 1)
+    i_b, i_c = (1, 2, 3), (0, 1, 3)
+    amalgamate_components(Span(a, b, c, inclusion(a, b, i_b), inclusion(a, c, i_c)))
+    a2, b2, c2 = relabeled(a, "a"), relabeled(b, "b"), relabeled(c, "c")
+    span = Span(a2, b2, c2, inclusion(a2, b2, i_b), inclusion(a2, c2, i_c))
+    res = amalgamate_components(span)
+    assert res.j_B.domain.labels == b2.labels
+    assert res.j_C.domain.labels == c2.labels
+    assert as_record(res) == as_record(constructed(span))
+    assert verify_amalgam(span, res)
+
+
+def test_a_mismatched_span_raises_on_every_call():
+    a = go(0)
+    span = Span(a, go(1), com(0, 0), inclusion(a, go(1), (1,)), inclusion(a, com(0, 0), (1,)))
+    amalgamation._components.cache_clear()
+    for calls in range(1, 4):
+        with pytest.raises(ShapeMismatch):
+            amalgamate_components(span)
+        info = amalgamation._components.cache_info()
+        # built once, then read back
+        assert (info.misses, info.hits) == (1, calls - 1)
+
+
+def test_the_component_suite_leaves_the_memo_empty():
+    amalgamation._components.cache_clear()
+    checked, failures = suite_component_amalgams(5, 0, 1)
+    assert checked > 0 and failures == []
+    assert amalgamation._components.cache_info().currsize == 0
+
+
 # --- certificate verification --------------------------------------------
 
 
@@ -434,13 +521,14 @@ def criterion_2_sample():
     return sample
 
 
-def criterion_2_digest(sample, pools, clear_every=None):
+def criterion_2_digest(sample, pools, clear_every=None, clear=lambda: morphisms._VERDICTS.clear()):
     """SHA-256 over the sample's spans, their search certificates and
-    their constructive amalgams, after the gate's checks on each one."""
+    their constructive amalgams, after the gate's checks on each one;
+    clear() runs every clear_every spans."""
     digest = hashlib.sha256()
     for n, (ci, a, b, c, i_b, i_c) in enumerate(sample):
         if clear_every and n % clear_every == 0:
-            morphisms._VERDICTS.clear()
+            clear()
         span = Span(a, b, c, ChainMap(a, b, i_b), ChainMap(a, c, i_c))
         bound = b.size + c.size
         res = find_amalgam(span, lambda d: True, bound, one_sided=True, candidates=pools[ci])
@@ -472,3 +560,10 @@ def test_criterion_2_certificates_match_the_pinned_digest():
     pools = [class_members(cls, 12) for cls in all_sixty()]
     assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
     assert criterion_2_digest(sample, pools, clear_every=100) == CRITERION_2_SAMPLE_DIGEST
+
+
+def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts_over():
+    sample = criterion_2_sample()
+    pools = [class_members(cls, 12) for cls in all_sixty()]
+    clear = amalgamation._components.cache_clear
+    assert criterion_2_digest(sample, pools, 100, clear) == CRITERION_2_SAMPLE_DIGEST

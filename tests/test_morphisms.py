@@ -177,6 +177,29 @@ def test_enumerated_embeddings_are_exactly_the_definitional_ones():
         assert found == expected
 
 
+def test_enumeration_equals_the_permutation_scan_on_all_small_pairs():
+    from itertools import permutations
+
+    residuated = [c for n in range(1, 5) for c in enumerate_chains(n)]
+    idempotent = [c for n in range(1, 6) for c in enumerate_chains(n, ("idempotent",))]
+    pairs = [(a, b) for a in residuated for b in residuated]
+    pairs += [(a, b) for a in idempotent for b in idempotent]
+    assert any(not predicates(c).idempotent for c in residuated)
+    found = 0
+    for a, b in pairs:
+        ta, tb = residual_tables(a), residual_tables(b)
+        want = [
+            image
+            for image in permutations(range(b.size), a.size)
+            if definitional_embedding(a, b, image, ta, tb)
+        ]
+        # the same maps, in the same lexicographic order
+        assert [m.image for m in enumerate_embeddings(a, b)] == want
+        found += len(want)
+    # at least each chain's identity
+    assert found > len(residuated) + len(idempotent)
+
+
 # --- congruences ------------------------------------------------------
 
 
