@@ -3,10 +3,11 @@
 A span is two embeddings out of a common chain; an amalgam completes the
 square inside a class, with the C-leg relaxed to a homomorphism in the
 one-sided variant. find_amalgam searches candidate codomains
-exhaustively in canonical order; amalgamate_components instead builds
-the completion directly for spans of Gödel chains or of two-sided
-chains by zipping the two element lists around the images of the common
-chain.
+exhaustively in canonical order, and remembers what each candidate
+decided for a span in a table that classification's span search shares;
+amalgamate_components instead builds the completion directly for spans
+of Gödel chains or of two-sided chains by zipping the two element lists
+around the images of the common chain.
 """
 
 from __future__ import annotations
@@ -157,11 +158,15 @@ class CandidatePool(list):
     """A candidate list that also carries its canonical scan order: one
     chain per signature (the first listed), sorted by size and signature.
     find_amalgam reads that order instead of deriving it on every call, so
-    build the pool once its list is final."""
+    build the pool once its list is final. The first search also gives the
+    pool the bits of its chains in the completion table; they hold until
+    the table starts over."""
 
     def __init__(self, chains: Iterable[FiniteChain] = ()):
         super().__init__(chains)
         self.canonical = canonical_order(self)
+        self._bits = None
+        self._generation = None
 
 
 def canonical_order(chains: Iterable[FiniteChain]) -> list:
@@ -190,6 +195,86 @@ def _certificate(B, C, D, jb: tuple, jc: tuple, one_sided: bool, labels: tuple) 
     spans have 2,890 distinct ones. Chains that differ only in labels
     compare equal, so the labels of B, C and D are part of the key."""
     return AmalgamResult(D, ChainMap(B, D, jb), ChainMap(C, D, jc), one_sided)
+
+
+# Whether D completes a span depends only on the signatures of B, C and D,
+# the two leg images and one_sided. Both span searches, find_amalgam and
+# classification.find_refuting_span, read each answer from this table and
+# write it there, as a bit of D in a mask. The four parts start over
+# together once one of them holds _TABLE_LIMIT entries: every mask is read
+# through _BITS, so clearing one part without the others would make masks
+# name the wrong chains. Each restart begins a new generation, and a
+# CandidatePool's bits are good only in the generation that issued them.
+_TABLE_LIMIT = 1 << 16
+# D.signature -> its bit in the masks
+_BITS: dict = {}
+# (B.signature, i_B image, C.signature, i_C image, one_sided) -> [mask of
+# the D's known to complete the span, mask of the D's known not to]
+_SPANS: dict = {}
+# B.signature -> mask of the D's that B does not embed in, which complete no
+# span out of B
+_NON_HOSTS: dict = {}
+# (span key, D.signature) -> _completion's (j_B, j_C) images for a D known to
+# complete the span
+_LEGS: dict = {}
+_TABLES = (_BITS, _SPANS, _NON_HOSTS, _LEGS)
+_generation = 0
+
+
+def _make_room() -> None:
+    """Start the table over once a part of it is full. Every search calls
+    it before it reads a bit, so no mask outlives the bits it was built
+    from."""
+    global _generation
+    if max(map(len, _TABLES)) >= _TABLE_LIMIT:
+        for table in _TABLES:
+            table.clear()
+        _generation += 1
+
+
+def _bits(chains: Iterable[FiniteChain]) -> list:
+    return [_BITS.setdefault(d.signature, 1 << len(_BITS)) for d in chains]
+
+
+def _decide(key: tuple, entry: list, B, i_b: tuple, C, i_c: tuple, D, bit: int, one_sided: bool):
+    """_completion for a D that the table has not decided for the span
+    under key, whose masks are entry; the answer goes into the table."""
+    legs = _completion(B, i_b, C, i_c, D, one_sided)
+    if legs is not None:
+        entry[0] |= bit
+        _LEGS[key, D.signature] = legs
+    elif D.size < B.size or not embedding_images(B, D):
+        _NON_HOSTS[B.signature] = _NON_HOSTS.get(B.signature, 0) | bit
+    else:
+        entry[1] |= bit
+    return legs
+
+
+def _completed_in(members: Sequence[FiniteChain]) -> Callable[..., bool]:
+    """The test completed(B, i_b, C, i_c): whether some chain in members
+    completes the span with leg images i_b and i_c one-sidedly. members
+    hold one chain per signature. A span with a known completion among
+    them is answered from its masks; otherwise only the members not yet
+    decided go through _completion. Use the test before the next search
+    starts, since a restart of the table renumbers the bits."""
+    _make_room()
+    bits = _bits(members)
+    in_members = sum(bits)
+
+    def completed(B, i_b: tuple, C, i_c: tuple) -> bool:
+        key = (B.signature, i_b, C.signature, i_c, True)
+        entry = _SPANS.get(key)
+        if entry is None:
+            entry = _SPANS[key] = [0, 0]
+        elif entry[0] & in_members:
+            return True
+        skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
+        for d, bit in zip(members, bits):
+            if not skip & bit and _decide(key, entry, B, i_b, C, i_c, d, bit, True) is not None:
+                return True
+        return False
+
+    return completed
 
 
 def _completion(B, i_b: tuple, C, i_c: tuple, D, one_sided: bool):
@@ -233,25 +318,46 @@ def find_amalgam(
     class (complete=True), else BoundExhausted.
 
     Candidates are scanned lazily: class_membership, which must depend on
-    the algebra only, is asked about each candidate as it is reached, and
-    _completion decides whether the candidate completes the span.
+    the algebra only, is asked about each candidate as it is reached. The
+    completion table then answers for the candidate when it can: a known
+    "no" is skipped, and a known "yes" gives back the legs _completion
+    found. Only a candidate the table has not decided for this span goes
+    through _completion, and its answer is remembered for the process.
     """
     B, C = span.B, span.C
     if size_bound < max(B.size, C.size):
         raise ValueError("size_bound cannot be below the span's own chains")
     pool = _default_candidates(size_bound) if candidates is None else candidates
-    order = pool.canonical if isinstance(pool, CandidatePool) else canonical_order(pool)
+    _make_room()
+    if isinstance(pool, CandidatePool):
+        order = pool.canonical
+        if pool._generation != _generation:
+            pool._bits, pool._generation = _bits(order), _generation
+        bits = pool._bits
+    else:
+        order = canonical_order(pool)
+        bits = _bits(order)
     i_b, i_c = span.i_B.image, span.i_C.image
+    key = (B.signature, i_b, C.signature, i_c, one_sided)
+    entry = _SPANS.setdefault(key, [0, 0])
+    yes = entry[0]
+    skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
     checked = 0
-    for d in order:
+    for d, bit in zip(order, bits):
         if d.size > size_bound:
             break
         if not class_membership(d):
             continue
         checked += 1
-        legs = _completion(B, i_b, C, i_c, d, one_sided)
-        if legs is not None:
-            return _certificate(B, C, d, *legs, one_sided, (B.labels, C.labels, d.labels))
+        if skip & bit:
+            continue
+        if yes & bit:
+            legs = _LEGS[key, d.signature]
+        else:
+            legs = _decide(key, entry, B, i_b, C, i_c, d, bit, one_sided)
+            if legs is None:
+                continue
+        return _certificate(B, C, d, *legs, one_sided, (B.labels, C.labels, d.labels))
     if complete:
         return Refuted(checked=checked)
     return BoundExhausted(size_bound=size_bound)

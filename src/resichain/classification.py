@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .chain import (
@@ -27,7 +28,7 @@ from .chain import (
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
 from .morphisms import ChainMap, congruences, embedding_images, quotient
-from .amalgamation import CandidatePool, Refuted, Span, _completion, canonical_order
+from .amalgamation import CandidatePool, Refuted, Span, _completed_in, canonical_order
 
 OMEGA = float("inf")
 PARAM_VALUES = (0, 1, OMEGA)
@@ -295,32 +296,11 @@ def _hs_images(chain: FiniteChain, labels) -> tuple:
     return tuple(images)
 
 
-# Equal closures come back as one shared object, and span completions are
-# remembered across calls. The tables start over together once one of
-# them holds _SHARED_LIMIT entries: the masks in _COMPLETIONS are read
-# through _BITS, so clearing one without the other would make them name
-# the wrong chains.
-_SHARED_LIMIT = 1 << 16
-# members tuple -> the ChainClasses built on it, one per label variant
+# Equal closures come back as one shared object: members tuple -> the
+# ChainClasses built on it, one per label variant. The table starts over
+# once it holds _CLOSED_LIMIT entries.
+_CLOSED_LIMIT = 1 << 16
 _CLOSED: dict = {}
-# chain signature -> its bit in the masks
-_BITS: dict = {}
-# (B.signature, i_B, C.signature, i_C) -> (mask of the D's known to
-# complete the span, mask of the D's known not to)
-_COMPLETIONS: dict = {}
-_SHARED_TABLES = (_CLOSED, _BITS, _COMPLETIONS)
-
-
-def _make_room() -> None:
-    """Start every shared table over once one is full. Call it before
-    reading a bit, so that no mask outlives the bits it was built from."""
-    if any(len(table) >= _SHARED_LIMIT for table in _SHARED_TABLES):
-        for table in _SHARED_TABLES:
-            table.clear()
-
-
-def _bits(members: tuple) -> list:
-    return [_BITS.setdefault(d.signature, 1 << len(_BITS)) for d in members]
 
 
 @lru_cache(maxsize=4096)
@@ -365,14 +345,17 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
             # chains already in the pool stay; g stands for its own signature
             # even when the memo holds an equal copy that validate did not intern
             pool = {**_closure_of(g, g.labels), **pool, key: g}
-    K = ChainClass.from_chains(pool.values())
-    variants = _CLOSED.get(K.members, ())
+    # one chain per signature already, so sorting gives K's members
+    members = tuple(sorted(pool.values(), key=attrgetter("signature")))
+    variants = _CLOSED.get(members, ())
     for earlier in variants:
-        if all(x is y for x, y in zip(earlier.members, K.members)):
+        if all(x is y for x, y in zip(earlier.members, members)):
             return earlier
-    object.__setattr__(K, "_closed", bool(K.members))
-    _make_room()
-    _CLOSED[K.members] = variants + (K,)
+    K = ChainClass(members=members)
+    object.__setattr__(K, "_closed", bool(members))
+    if len(_CLOSED) >= _CLOSED_LIMIT:
+        _CLOSED.clear()
+    _CLOSED[members] = variants + (K,)
     return K
 
 
@@ -543,37 +526,19 @@ def _refuted(checked: int) -> Refuted:
 
 def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]]:
     """First span over K (spans_over order) with no one-sided completion
-    in K, with legs read as image tuples. amalgamation._completion decides
-    whether a member D completes a span. That depends only on B, i_B, C,
-    i_C and D, so each answer is remembered for the process as a bit of D
-    in one of the span's two masks, and only the members of K not yet
-    decided are asked. Only the witness becomes a Span. K's members are
-    one per signature in canonical order, as find_amalgam scans
-    candidates, so the refutation counts them all.
+    in K, with legs read as image tuples. Whether a member D completes a
+    span is read from the completion table that find_amalgam shares
+    (amalgamation._completed_in), and only the members of K that the table
+    has not decided for the span go through the leg match. Only the
+    witness becomes a Span. K's members are one per signature in canonical
+    order, as find_amalgam scans candidates, so the refutation counts them
+    all.
 
     Spans whose A is the one-element chain are skipped: B itself completes
     each of them, with j_B the identity and j_C mapping all of C to the
     unit, so none of them is ever the witness."""
-    _make_room()
     members = K.members
-    bits = _bits(members)
-    in_k = sum(bits)
-
-    def completed(B, i_b: tuple, C, i_c: tuple) -> bool:
-        span = (B.signature, i_b, C.signature, i_c)
-        yes, no = _COMPLETIONS.get(span, (0, 0))
-        if yes & in_k:
-            return True
-        for d, bit in zip(members, bits):
-            if no & bit:
-                continue
-            if _completion(B, i_b, C, i_c, d, True) is not None:
-                _COMPLETIONS[span] = (yes | bit, no)
-                return True
-            no |= bit
-        _COMPLETIONS[span] = (yes, no)
-        return False
-
+    completed = _completed_in(members)
     for A in members:
         if A.size == 1:
             continue

@@ -130,8 +130,12 @@ def _embeddings_images(a: FiniteChain, b: FiniteChain) -> Iterable[tuple]:
 
     Candidates respect order and the unit; closure under the unit
     residuals is checked as each image is placed (idempotent case) or at
-    the leaf (general case).
+    the leaf (general case). An embedding keeps order and the unit, so
+    when a's part below or above its unit is longer than b's there is
+    none, and the walk does not start.
     """
+    if a.unit > b.unit or a.size - a.unit > b.size - b.unit:
+        return
     ta, tb = a.tables, b.tables
     both_idem = ta.predicates.idempotent and tb.predicates.idempotent
     images: list = [None] * a.size

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
+from functools import lru_cache, partial
 
 from . import zchain
 from .amalgamation import (
     AmalgamResult,
     BoundExhausted,
-    CandidatePool,
     Refuted,
     _construct,
-    find_amalgam,
     spans_over,
     verify_amalgam,
 )
@@ -36,6 +34,7 @@ from .chain import (
     enumerate_chains,
     iso_equal,
     residual,
+    restrict_to,
     signature_hex,
 )
 from .classification import ChainClass, _hs_step, classify, find_refuting_span
@@ -281,11 +280,13 @@ def reference_find_amalgam(
 def reference_find_refuting_span(K):
     """find_refuting_span's contract, searched the plain way: build every
     span over K with spans_over and give each a complete one-sided
-    find_amalgam search over K itself. Only the tests call it."""
-    members = CandidatePool(K.members)
+    reference_find_amalgam search over K itself, so no answer comes from
+    the completion table the two library searches share. Only the tests
+    call it."""
+    members = list(K.members)
     bound = max(c.size for c in members)
     for span in spans_over(members):
-        res = find_amalgam(
+        res = reference_find_amalgam(
             span, lambda d: True, bound, one_sided=True, complete=True, candidates=members
         )
         if isinstance(res, Refuted):
@@ -293,9 +294,40 @@ def reference_find_refuting_span(K):
     return None, None
 
 
+def reference_hs_images(chain) -> tuple:
+    """Every subalgebra, then every quotient, of one chain, in the order
+    hs_closure walks them. The subalgebras come from a scan of every subset
+    of the non-unit elements, in mask order, each checked for closure
+    against the raw table and brute-force residuals; the quotients come
+    from the library's congruences, smallest kernel first. validate
+    interns chains, so an image equal to the library's, labels and all, is
+    the very same object."""
+    return _reference_hs_images(chain, chain.labels)
+
+
+@lru_cache(maxsize=None)
+def _reference_hs_images(chain, labels) -> tuple:
+    # remembered for the tests' repeated walks; label variants compare
+    # equal, so the key keeps their images apart
+    left, right = residual_tables(chain)
+    others = [x for x in chain.elements() if x != chain.unit]
+    images = []
+    for mask in range(1 << len(others)):
+        subset = [chain.unit] + [x for i, x in enumerate(others) if mask >> i & 1]
+        closed = set(subset)
+        if all(
+            chain.mul(x, y) in closed and left[x][y] in closed and right[x][y] in closed
+            for x in subset
+            for y in subset
+        ):
+            images.append(restrict_to(chain, subset))
+    images.extend(quotient(chain, cong)[0] for cong in congruences(chain))
+    return tuple(images)
+
+
 def reference_hs_closure(generators):
     """hs_closure's contract, built the plain way: one last-in first-out
-    walk of _hs_step images from all the generators, keeping the first
+    walk of reference_hs_images from all the generators, keeping the first
     chain reached for each signature. Only the tests call it."""
     pool = {}
     work = list(generators)
@@ -305,7 +337,7 @@ def reference_hs_closure(generators):
         if key in pool:
             continue
         pool[key] = c
-        work.extend(_hs_step(c))
+        work.extend(reference_hs_images(c))
     return ChainClass.from_chains(pool.values())
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -567,3 +568,27 @@ def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts
     pools = [class_members(cls, 12) for cls in all_sixty()]
     clear = amalgamation._components.cache_clear
     assert criterion_2_digest(sample, pools, 100, clear) == CRITERION_2_SAMPLE_DIGEST
+
+
+def restart_the_completion_table(monkeypatch):
+    """Start the completion table over the way a full table does."""
+    with monkeypatch.context() as patch:
+        patch.setattr(amalgamation, "_TABLE_LIMIT", 0)
+        amalgamation._make_room()
+
+
+def test_criterion_2_certificates_match_the_pinned_digest_while_the_table_starts_over(monkeypatch):
+    # both runs reuse pools that hold bits from a generation before the
+    # restart, so each pool must notice and take new bits
+    sample = criterion_2_sample()
+    pools = [class_members(cls, 12) for cls in all_sixty()]
+    start = amalgamation._generation
+    clear = partial(restart_the_completion_table, monkeypatch)
+    assert criterion_2_digest(sample, pools, 100, clear) == CRITERION_2_SAMPLE_DIGEST
+    assert amalgamation._generation - start == 21
+    # a limit below the widest pool's 2,048 chains: the table fills and
+    # starts over on its own, between the searches of other pools
+    monkeypatch.setattr(amalgamation, "_TABLE_LIMIT", 1500)
+    start = amalgamation._generation
+    assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
+    assert amalgamation._generation - start > 100

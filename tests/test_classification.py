@@ -34,13 +34,20 @@ from resichain import (
     parse_class,
     sig_in_class,
 )
-from resichain import classification
-from resichain.amalgamation import _completion
+from resichain import amalgamation, classification
+from resichain.amalgamation import (
+    AmalgamResult,
+    CandidatePool,
+    _completion,
+    find_amalgam,
+    spans_over,
+)
 from resichain.chain import FiniteChain, validate
 from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import (
     _hs_closed_sets,
+    reference_find_amalgam,
     reference_find_refuting_span,
     reference_hs_closure,
     suite_ap_verdict,
@@ -348,11 +355,48 @@ def test_span_search_does_not_depend_on_the_sets_searched_before(
     sets, want = small_sets_and_answers
     forward = list(range(len(sets)))
     orders = (forward, forward[::-1], random.Random(11).sample(forward, len(forward)))
-    for limit in (classification._SHARED_LIMIT, 100):
-        monkeypatch.setattr(classification, "_SHARED_LIMIT", limit)
+    for limit in (amalgamation._TABLE_LIMIT, 100):
+        monkeypatch.setattr(amalgamation, "_TABLE_LIMIT", limit)
         for order in orders:
             got = [refutation(find_refuting_span(sets[i])) for i in order]
             assert got == [want[i] for i in order]
+
+
+def test_both_span_searches_share_one_completion_table(monkeypatch):
+    # find_refuting_span and the one-sided find_amalgam read and write the
+    # same table. In either order, the second search reads what the first
+    # wrote, and both still match their references. The first spans in
+    # spans_over order are the ones find_refuting_span decides on its way.
+    rng = random.Random(23)
+    compared = refuted = 0
+    for K in seeded_closures():
+        want = refutation(reference_find_refuting_span(K))
+        spans = [span for span in spans_over(K.members) if span.A.size > 1]
+        picked = spans[:30] + rng.sample(spans, min(20, len(spans)))
+        bound = max(c.size for c in K.members)
+        pool = CandidatePool(K.members)
+        for refuting_first in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(amalgamation, "_TABLE_LIMIT", 0)
+                amalgamation._make_room()
+            if refuting_first:
+                assert refutation(find_refuting_span(K)) == want
+            for i, span in enumerate(picked):
+                args = (span, lambda d: True, bound)
+                candidates = pool if i % 2 else K.members
+                kwargs = dict(one_sided=True, complete=True, candidates=candidates)
+                got = find_amalgam(*args, **kwargs)
+                expected = reference_find_amalgam(*args, **kwargs)
+                if isinstance(expected, AmalgamResult):
+                    assert got.to_json() == expected.to_json()
+                    assert got.D.labels == expected.D.labels
+                else:
+                    assert got == expected
+                    refuted += 1
+                compared += 1
+            if not refuting_first:
+                assert refutation(find_refuting_span(K)) == want
+    assert compared > 1000 and refuted > 0
 
 
 def test_a_chain_class_keeps_its_members_in_canonical_order():
@@ -537,9 +581,9 @@ def verdict_record(verdict) -> list:
 
 def test_a_closure_remembers_its_verdict(monkeypatch, closures):
     with monkeypatch.context() as patch:
-        # a limit of 0 starts the shared tables over on every call, and
+        # a limit of 0 starts the completion table over on every call, and
         # from_chains builds a K that remembers nothing
-        patch.setattr(classification, "_SHARED_LIMIT", 0)
+        patch.setattr(amalgamation, "_TABLE_LIMIT", 0)
         cold = [verdict_record(ap_verdict(ChainClass.from_chains(K.members))) for K in closures]
     warm = [ap_verdict(K) for K in closures]
     assert all(ap_verdict(K) is verdict for K, verdict in zip(closures, warm))

@@ -184,6 +184,19 @@ def test_enumeration_equals_the_permutation_scan_on_all_small_pairs():
     idempotent = [c for n in range(1, 6) for c in enumerate_chains(n, ("idempotent",))]
     pairs = [(a, b) for a in residuated for b in residuated]
     pairs += [(a, b) for a in idempotent for b in idempotent]
+
+    def only_the_upper_part_is_too_long(a, b):
+        return a.unit <= b.unit and a.size - a.unit > b.size - b.unit
+
+    # larger codomains whose part below the unit has room and whose part
+    # above it has none
+    pairs += [
+        (a, b)
+        for a in idempotent
+        for b in enumerate_chains(6, ("idempotent",))
+        if only_the_upper_part_is_too_long(a, b)
+    ]
+    assert sum(only_the_upper_part_is_too_long(a, b) for a, b in pairs) > 300
     assert any(not predicates(c).idempotent for c in residuated)
     found = 0
     for a, b in pairs:
