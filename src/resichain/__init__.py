@@ -25,7 +25,7 @@ _EXPORTS = {
         "words": """FiniteSupport FiniteWord MinimalityVerdict Periodic is_minimal
             is_subword parse_word preorder_leq""",
         "zchain": """ASElement UNIT as_leq as_mult as_residual as_unary generated_reach
-            parse_element window_residual_oracle""",
+            parse_element""",
         "amalgamation": """AmalgamResult BoundExhausted Refuted Span amalgamate_components
             canonical_order find_amalgam span_from_json spans_over verify_amalgam""",
         "classification": """CanonicalClass ChainClass HasAP NoAP OMEGA RuleViolation

@@ -158,9 +158,10 @@ class CandidatePool(list):
     """A candidate list that also carries its canonical scan order: one
     chain per signature (the first listed), sorted by size and signature.
     find_amalgam reads that order instead of deriving it on every call, so
-    build the pool once its list is final. The first search also gives the
-    pool the bits of its chains in the completion table; they hold until
-    the table starts over."""
+    build the pool once its list is final (any other iterable is wrapped
+    in a new pool on every call). The first search also gives the pool the
+    bits of its chains in the completion table; they hold until the table
+    starts over."""
 
     def __init__(self, chains: Iterable[FiniteChain] = ()):
         super().__init__(chains)
@@ -328,15 +329,13 @@ def find_amalgam(
     if size_bound < max(B.size, C.size):
         raise ValueError("size_bound cannot be below the span's own chains")
     pool = _default_candidates(size_bound) if candidates is None else candidates
+    if not isinstance(pool, CandidatePool):
+        pool = CandidatePool(pool)
     _make_room()
-    if isinstance(pool, CandidatePool):
-        order = pool.canonical
-        if pool._generation != _generation:
-            pool._bits, pool._generation = _bits(order), _generation
-        bits = pool._bits
-    else:
-        order = canonical_order(pool)
-        bits = _bits(order)
+    order = pool.canonical
+    if pool._generation != _generation:
+        pool._bits, pool._generation = _bits(order), _generation
+    bits = pool._bits
     i_b, i_c = span.i_B.image, span.i_C.image
     key = (B.signature, i_b, C.signature, i_c, one_sided)
     entry = _SPANS.setdefault(key, [0, 0])

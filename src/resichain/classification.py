@@ -3,11 +3,12 @@
 A class is a family name plus parameters from {0, 1, ω}. Membership of a
 finite commutative idempotent chain is decided on its decomposition
 signature by sig_in_class alone; a class's signatures are those up to a
-size budget that pass it. A finite set of chains closed under subalgebras
-and quotients (here: ChainClass) is classified by looking its signature
-set up among the twelve finite classes. The amalgamation verdict follows:
-a set equal to one of the sixty has the property; anything else gets an
-audit of violated closure rules plus, when found, a concrete span with no
+size budget that pass it, found by a walk that extends only what passes.
+A finite set of chains closed under subalgebras and quotients (here:
+ChainClass) is classified by looking its signature set up among the
+twelve finite classes. The amalgamation verdict follows: a set equal to
+one of the sixty has the property; anything else gets an audit of
+violated closure rules plus, when found, a concrete span with no
 one-sided completion inside the set.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .chain import (
     FiniteChain,
@@ -203,24 +204,22 @@ def member_of(chain: FiniteChain, cls: CanonicalClass) -> bool:
     return sig_in_class(decompose(chain), cls)
 
 
-def _pair_sequences(budget: int) -> Iterable[tuple]:
-    """Sequences of (r, s) pairs with total weight Σ(r+s+2) ≤ budget."""
-    yield ()
-    for r in range(0, budget - 1):
-        for s in range(0, budget - 1 - r):
-            for rest in _pair_sequences(budget - (r + s + 2)):
-                yield ((r, s),) + rest
-
-
-@lru_cache(maxsize=None)
-def _all_signatures(budget: int) -> tuple:
-    """Every signature of size ≤ budget: the spare weight of each pair
-    sequence goes to the tail."""
-    out = []
-    for pairs in _pair_sequences(budget - 1):
-        spare = budget - 1 - sum(r + s + 2 for r, s in pairs)
-        out.extend(DecompositionSignature(pairs, q) for q in range(spare + 1))
-    return tuple(out)
+def _signatures(budget: int, keep: Callable, pairs: tuple = ()) -> Iterator:
+    """The signatures keep accepts among pairs's tails and extensions with at
+    most budget elements beyond pairs's weight Σ(r+s+2), depth first. A
+    sequence keep rejects at tail 0 is not extended, and its tails stop at
+    the first one keep rejects: exact for sig_in_class, whose pair conditions
+    hold on every prefix and whose tail conditions are downward closed."""
+    for q in range(budget):
+        sig = DecompositionSignature(pairs, q)
+        if not keep(sig):
+            if q == 0:
+                return
+            break
+        yield sig
+    for r in range(budget - 2):
+        for s in range(budget - 2 - r):
+            yield from _signatures(budget - (r + s + 2), keep, pairs + ((r, s),))
 
 
 def class_signatures(cls: CanonicalClass, max_size: Optional[int] = None) -> set:
@@ -234,7 +233,7 @@ def class_signatures(cls: CanonicalClass, max_size: Optional[int] = None) -> set
         if max_size is None:
             raise ValueError("unbounded class needs a size cap")
         budget = max_size
-    return {sig for sig in _all_signatures(budget) if sig_in_class(sig, cls)}
+    return set(_signatures(budget, lambda sig: sig_in_class(sig, cls)))
 
 
 def class_members(cls: CanonicalClass, max_size: Optional[int] = None) -> CandidatePool:
@@ -445,9 +444,9 @@ def _instances(sig: DecompositionSignature) -> tuple:
     function reads the cap. A second premise is never larger than the
     conclusion, so the partners are the components and tails up to the
     cap."""
-    small = _all_signatures(_AUDIT_SIZE_CAP)
-    components = [s for s in small if len(s.pairs) == 1 and s.p == 0]
-    tails = [s for s in small if not s.pairs]
+    n = _AUDIT_SIZE_CAP - 2
+    components = [DecompositionSignature(((r, s),), 0) for r in range(n) for s in range(n - r)]
+    tails = [DecompositionSignature((), q) for q in range(_AUDIT_SIZE_CAP)]
     # every stack height, side length and tail length that can still fit
     lengths = range(_AUDIT_SIZE_CAP)
     candidates = []

@@ -302,21 +302,21 @@ def cmd_amalgamate(args) -> int:
     if args.cls:
         from .classification import class_members, parse_class
 
-        # class_members generates exactly the class, so no membership test
+        # class_members generates exactly the class, so no membership test.
+        # The scan goes by size, so the first certificate among the members
+        # up to some size is the first of all, and only the last pool is whole.
         cls = _parsed(parse_class, args.cls)
-        candidates = class_members(cls, max_size=bound)
         complete = cls.is_finite and bound >= cls.max_member_size
+        sizes = range(max(span.B.size, span.C.size), bound + 1)
+        pools = ((n, class_members(cls, max_size=n)) for n in sizes)
     else:
-        candidates = None
         complete = False
-    res = find_amalgam(
-        span,
-        lambda d: True,
-        bound,
-        one_sided=args.one_sided,
-        complete=complete,
-        candidates=candidates,
-    )
+        pools = [(bound, None)]
+    for size, candidates in pools:
+        res = find_amalgam(span, lambda d: True, size, one_sided=args.one_sided,
+                           complete=complete and size == bound, candidates=candidates)
+        if isinstance(res, AmalgamResult):
+            break
     if isinstance(res, AmalgamResult):
         _emit({"found": True, **res.to_json()}, args)
     elif isinstance(res, Refuted):

@@ -6,8 +6,8 @@ smaller index for a, the larger for b; a mixed product a_i·b_j falls to
 whichever side wins by index, with S breaking the tie i = j. These
 chains are never materialized as finite tables: no finite index window
 is closed under the unit residuals, so every operation here is a closed
-form over symbolic elements, with a window-bounded brute-force oracle
-kept alongside for cross-checking.
+form over symbolic elements. The window-bounded brute-force oracle that
+cross-checks them is selfcheck.window_residual_oracle.
 """
 
 from __future__ import annotations
@@ -146,35 +146,6 @@ def as_residual(spec: SetSpec, x: ASElement, y: ASElement, side: str) -> ASEleme
     else:
         raise ValueError(f"unknown side {side!r}")
     return _join(w, y) if as_leq(x, y) else _meet(w, y)
-
-
-def _window(elements: Iterable[ASElement], pad: int) -> list:
-    """All symbolic elements whose index lies within pad of the inputs'
-    index range; the unit is always included."""
-    indices = [x.index for x in elements if x.kind != E]
-    lo = (min(indices) if indices else 0) - pad
-    hi = (max(indices) if indices else 0) + pad
-    out = [UNIT]
-    for i in range(lo, hi + 1):
-        out.append(a(i))
-        out.append(b(i))
-    return out
-
-
-def window_residual_oracle(
-    spec: SetSpec, x: ASElement, y: ASElement, side: str, pad: int = 2
-) -> ASElement:
-    """Brute-force max{z : x·z ≤ y} (left) or max{z : z·x ≤ y} (right)
-    over the padded index window; agrees with as_residual because the
-    true residual's index stays within the window."""
-    best = None
-    for z in _window((x, y), pad):
-        prod = as_mult(spec, x, z) if side == LEFT else as_mult(spec, z, x)
-        if as_leq(prod, y):
-            if best is None or as_compare(z, best) > 0:
-                best = z
-    assert best is not None, "window too small for a witness"
-    return best
 
 
 def generated_reach(spec: SetSpec, start: ASElement, depth: int) -> frozenset:

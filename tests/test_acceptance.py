@@ -18,7 +18,6 @@ from resichain import (
     Refuted,
     as_leq,
     as_unary,
-    window_residual_oracle,
 )
 from resichain.amalgamation import (
     AmalgamResult,
@@ -56,6 +55,7 @@ from resichain.selfcheck import (
     suite_decomposition,
     suite_embedding_criterion,
     suite_skeleton_contraction,
+    window_residual_oracle,
 )
 
 

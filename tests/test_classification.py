@@ -24,6 +24,7 @@ from resichain import (
     class_signatures,
     classify,
     closure_rule_violations,
+    count_chains,
     decompose,
     enumerate_chains,
     find_refuting_span,
@@ -157,15 +158,32 @@ def test_sig_in_class_matches_member_of_on_small_chains():
 
 
 def test_class_members_agree_with_a_direct_membership_scan():
-    for text in ("fin:1,1,1", "e:w", "fin:0,0,1+e:1", "inf:0,1,0"):
-        cls = parse_class(text)
-        listed = sig_keys(class_members(cls, 6))
-        scanned = set()
-        for n in range(1, 7):
-            for chain in enumerate_chains(n, ("commutative", "idempotent")):
-                if member_of(chain, cls):
-                    scanned.add(canonical_signature(chain))
-        assert listed == scanned
+    chains = [c for n in range(1, 8) for c in enumerate_chains(n, ("commutative", "idempotent"))]
+    for cls in all_sixty():
+        listed = sig_keys(class_members(cls, 7))
+        scanned = {canonical_signature(c) for c in chains if member_of(c, cls)}
+        assert listed == scanned, cls.text()
+
+
+def test_the_widest_class_lists_every_signature():
+    for n in range(1, 17):
+        assert len(class_signatures(parse_class("inf:w,w,w"), n)) == sum(
+            count_chains(k) for k in range(1, n + 1)
+        )
+
+
+def test_a_narrow_class_walks_few_signatures(monkeypatch):
+    # e:w has 16 members up to size 16, out of 2^16 - 1 signatures
+    calls = []
+    test = classification.sig_in_class
+
+    def counted(sig, cls):
+        calls.append(sig)
+        return test(sig, cls)
+
+    monkeypatch.setattr(classification, "sig_in_class", counted)
+    assert len(class_signatures(parse_class("e:w"), 16)) == 16
+    assert len(calls) < 1000
 
 
 # --- HS-closure ----------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import resichain
-from resichain import amalgamation, canonical_signature, chain_from_json
+from resichain import amalgamation, canonical_signature, chain_from_json, classification
 from resichain.cli import main
 from resichain.constructors import com, go, nested_sum
 from resichain.pointed import PointedChain
@@ -329,6 +329,24 @@ def test_amalgamate_refutes_in_a_complete_finite_class(capsys, tmp_path):
     )
     assert code == 0
     assert got == {"found": False, "refuted": True, "checked": 2}
+
+
+def test_a_class_pool_grows_only_to_the_certificate_size(capsys, tmp_path, monkeypatch):
+    # the members up to size 15 are 2^15 - 1 chains; the certificate has 4 elements
+    requested = []
+    build = classification.class_members
+
+    def spy(cls, max_size=None):
+        requested.append(max_size)
+        return build(cls, max_size=max_size)
+
+    monkeypatch.setattr(classification, "class_members", spy)
+    path = span_file(tmp_path, crossing_span_dict())
+    code, got = run_json(
+        capsys, "amalgamate", path, "--class", "inf:w,w,w", "--one-sided", "--bound", "15"
+    )
+    assert code == 0 and got["found"] is True
+    assert max(requested) == chain_from_json(got["D"]).size == 4
 
 
 def test_amalgamate_constructive_zipper(capsys, tmp_path):

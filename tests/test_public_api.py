@@ -36,7 +36,7 @@ PUBLIC = {
     ],
     "zchain": [
         "ASElement", "UNIT", "as_leq", "as_mult", "as_residual", "as_unary",
-        "generated_reach", "parse_element", "window_residual_oracle",
+        "generated_reach", "parse_element",
     ],
     "amalgamation": [
         "AmalgamResult", "BoundExhausted", "Refuted", "Span", "amalgamate_components",
@@ -63,7 +63,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_the_pinned_list_has_every_public_name():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 107
+    assert len(NAMES) == len({name for _, name in NAMES}) == 106
 
 
 @pytest.mark.parametrize("module,name", NAMES, ids=[name for _, name in NAMES])

@@ -20,8 +20,8 @@ from resichain import (
     as_unary,
     generated_reach,
     parse_element,
-    window_residual_oracle,
 )
+from resichain.selfcheck import window_residual_oracle
 from resichain.zchain import a, as_compare, b, index_range
 
 WITH_ZERO = FiniteSupport(frozenset({0}))
