@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 from .chain import (
     FiniteChain,
     canonical_signature,
-    is_subuniverse,
     restrict_to,
+    subalgebra_generated,
 )
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
@@ -270,27 +270,45 @@ class ChainClass:
 
     def is_hs_closed(self) -> bool:
         keys = {canonical_signature(c) for c in self.members}
-        return bool(keys) and all(
-            canonical_signature(image) in keys for c in self.members for image in _hs_step(c)
-        )
+        return bool(keys) and all(keys >= _closure_of(c, c.labels).keys() for c in self.members)
+
+
+def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
+    """Every set over 0..n-1 that a closure operator fixes, as a bitmask,
+    each once: start is the least fixed set, close(mask, x) the least one
+    holding mask and x. Depth first over the elements in order, leaving x
+    out before adding it; a branch ends where adding x brings back one left out."""
+    stack = [(0, start, 0)]
+    while stack:
+        x, chosen, out = stack.pop()
+        while x < n and chosen >> x & 1:
+            x += 1
+        if x == n:
+            yield chosen
+            continue
+        grown = close(chosen, x)
+        if not grown & out:
+            stack.append((x + 1, grown, out))
+        stack.append((x + 1, chosen, out | 1 << x))
 
 
 def _hs_step(chain: FiniteChain) -> tuple:
-    """Every subalgebra, then every quotient, of one chain (the chain
-    itself among them). Subalgebras come from a scan of the subsets of the
-    non-unit elements; intended for desk-scale chains."""
+    """Every subalgebra, in the order of their element bitmasks, then every
+    quotient, of one chain (the chain itself among them)."""
     return _hs_images(chain, chain.labels)
 
 
 @lru_cache(maxsize=4096)
 def _hs_images(chain: FiniteChain, labels) -> tuple:
     # label variants compare equal; the key keeps their images apart
-    others = [x for x in chain.elements() if x != chain.unit]
-    images = []
-    for mask in range(1 << len(others)):
-        subset = [chain.unit] + [x for i, x in enumerate(others) if mask >> i & 1]
-        if is_subuniverse(chain, subset):
-            images.append(restrict_to(chain, subset))
+    def members(mask: int) -> list:
+        return [x for x in chain.elements() if mask >> x & 1]
+
+    def close(mask: int, x: int) -> int:
+        return sum(1 << y for y in subalgebra_generated(chain, members(mask) + [x]))
+
+    subuniverses = sorted(_closed_sets(chain.size, close, close(0, chain.unit)))
+    images = [restrict_to(chain, members(m)) for m in subuniverses]
     images.extend(quotient(chain, cong)[0] for cong in congruences(chain))
     return tuple(images)
 

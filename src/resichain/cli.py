@@ -328,8 +328,8 @@ def cmd_amalgamate(args) -> int:
 
 def _load_generators(path):
     """A list of chains, or an object with a "generators" list. A chain
-    over the enumeration cap is refused before its closure is built: the
-    subalgebra scan of a chain is exponential in its size."""
+    over the enumeration cap is refused before its closure is built: a
+    Gödel chain has 2^(n−1) subalgebras, and the closure builds each one."""
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("generators")

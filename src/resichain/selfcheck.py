@@ -37,7 +37,7 @@ from .chain import (
     restrict_to,
     signature_hex,
 )
-from .classification import ChainClass, _hs_step, classify, find_refuting_span
+from .classification import ChainClass, _closed_sets, _hs_step, classify, find_refuting_span
 from .constructors import com, go
 from .decomposition import count_chains, decompose, recompose
 from .errors import ResichainError
@@ -556,23 +556,21 @@ def suite_component_amalgams(max_size: int, seed: int, jobs: int):
 
 def _hs_closed_sets(chains: list):
     """Every non-empty HS-closed subset of ``chains``, which lists chains
-    in size order and holds the HS-images of each. A chain's images other
-    than itself are smaller, so a set is built as a down-set: walking the
-    list, a chain may join only when all its images are already in."""
-    below = [{canonical_signature(d) for d in _hs_step(c)} - {canonical_signature(c)}
-             for c in chains]
-
-    def walk(i: int, chosen: list, keys: frozenset):
-        if i == len(chains):
-            if chosen:
-                yield chosen
-            return
-        yield from walk(i + 1, chosen, keys)
-        if below[i] <= keys:
-            c = chains[i]
-            yield from walk(i + 1, chosen + [c], keys | {canonical_signature(c)})
-
-    return walk(0, [], frozenset())
+    in size order and holds the HS-images of each: the unions of reaches
+    that _closed_sets lists. A chain's reach is itself and its images'
+    reaches, known by its turn, since its other images are smaller."""
+    index = {canonical_signature(c): i for i, c in enumerate(chains)}
+    reach = []
+    for i, c in enumerate(chains):
+        reach.append(1 << i)
+        for d in _hs_step(c):
+            reach[i] |= reach[index[canonical_signature(d)]]
+    # one lookup per eight chains turns a set's mask into its list
+    blocks = [[[c for k, c in enumerate(chains[b : b + 8]) if v >> k & 1] for v in range(256)]
+              for b in range(0, len(chains), 8)]
+    for mask in _closed_sets(len(chains), lambda m, i: m | reach[i], 0):
+        if mask:
+            yield [c for j, block in enumerate(blocks) for c in block[mask >> 8 * j & 255]]
 
 
 def suite_ap_verdict(max_size: int, seed: int, jobs: int):

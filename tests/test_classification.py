@@ -51,6 +51,7 @@ from resichain.selfcheck import (
     reference_find_amalgam,
     reference_find_refuting_span,
     reference_hs_closure,
+    reference_hs_images,
     suite_ap_verdict,
 )
 
@@ -688,6 +689,19 @@ def test_hs_closure_keeps_the_chains_that_the_walk_keeps():
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
     # no image was evicted, so both sides met the same image objects
     assert classification._hs_images.cache_info().currsize < 4096
+
+
+def test_hs_step_lists_the_reference_images_of_every_small_chain():
+    # every residuated chain up to size 6, most of them not idempotent, so
+    # their subalgebras close under the product and both residuals, and
+    # every idempotent chain of size 7
+    chains = [c for n in range(1, 7) for c in enumerate_chains(n)]
+    chains += enumerate_chains(7, filters=("idempotent",))
+    assert len(chains) == 679 + 120
+    assert sum(not c.tables.predicates.idempotent for c in chains) == 609
+    for c in chains:
+        got, want = classification._hs_step(c), reference_hs_images(c)
+        assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
 
 
 def test_hs_closure_does_not_depend_on_the_closures_built_before():
