@@ -428,11 +428,10 @@ def enumerate_chains(n: int, filters: Iterable[str] = ()):
     """All residuated chains of size n meeting the filters, one per iso class.
 
     A filter is a field name of ChainPredicates; a chain is kept when every
-    requested predicate holds. One backtracking search fills the table;
-    commutative and idempotent also narrow it (see _search), which is what
-    makes idempotent sizes past 7 practical. Without idempotent the search
-    ranges over full tables and is only practical for small n. Results are
-    sorted by canonical signature.
+    requested predicate holds. One backtracking search fills the table,
+    pruning cell by cell on monotonicity and associativity (see _search);
+    commutative and idempotent also narrow it. Results are sorted by
+    canonical signature.
     """
     filters = frozenset(filters)
     unknown = filters - KNOWN_FILTERS
@@ -447,7 +446,9 @@ def enumerate_chains(n: int, filters: Iterable[str] = ()):
     results = [TRIVIAL] if n == 1 else []
     for unit in range(1, n):
         _search(n, unit, "idempotent" in filters, "commutative" in filters, results)
-    results = [c for c in results if all(getattr(predicates(c), f) for f in filters)]
+    # the search itself keeps only commutative or idempotent tables when asked
+    rest = filters - {"commutative", "idempotent"}
+    results = [c for c in results if all(getattr(predicates(c), f) for f in rest)]
     results.sort(key=canonical_signature)
     return results
 
@@ -456,12 +457,17 @@ def _search(n: int, unit: int, idempotent: bool, commutative: bool, results: lis
     """Append to results every chain of size n with this unit.
 
     The bottom and unit rows and columns are fixed; the free cells are placed
-    in order of their larger coordinate k. With idempotent the diagonal is
-    fixed too and x*y is drawn from {x, y}; otherwise from 0..n-1. With
-    commutative only the cells with x <= y are placed, each mirrored. Every
-    value must keep its row and column monotone, and once the last cell of k
-    is placed, the triples involving k must associate wherever their entries
-    are set. validate() alone judges each complete table.
+    in order of their larger coordinate, then row, then column. With
+    idempotent the diagonal is fixed too and x*y is drawn from {x, y};
+    otherwise from 0..n-1. With commutative only the cells with x <= y are
+    placed, each mirrored. A cell takes only values between its nearest
+    filled neighbours in its row and column, so rows and columns stay
+    monotone, and each placement checks (ab)c = a(bc) on every triple that
+    reads the new cell and whose other entries are set, so each partial
+    table associates wherever it is defined. A symmetric table associates on
+    (a, b, c) exactly when it does on (c, b, a), so the triples that read a
+    mirrored cell need no check of their own. validate() checks each
+    complete table once more.
     """
     t = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -475,65 +481,75 @@ def _search(n: int, unit: int, idempotent: bool, commutative: bool, results: lis
          if not (idempotent and x == y) and not (commutative and x > y)),
         key=lambda c: (max(c), c),
     )
+    # A triple with the bottom or the unit in it always associates, so the
+    # check reads only free elements. where[v] lists the free cells (a, b)
+    # that hold v: the triples that read a new x*y through ab = x or bc = y.
+    where = [[] for _ in range(n)]
+    if idempotent:
+        for x in free:
+            where[x].append((x, x))
+    steps = []
+    filled = {(x, y) for x in range(n) for y in range(n) if t[x][y] is not None}
+    for x, y in cells:
+        row = [b for b in range(n) if (x, b) in filled]
+        col = [a for a in range(n) if (a, y) in filled]
+        lo = ((x, max(b for b in row if b < y)), (max(a for a in col if a < x), y))
+        hi = [(x, b) for b in row if b > y][:1] + [(a, y) for a in col if a > x][:1]
+        steps.append((x, y, lo, hi, commutative and x != y))
+        filled.update(((x, y), (y, x)) if commutative else ((x, y),))
 
-    def assoc_ok(k: int) -> bool:
-        members = [x for x in range(n) if x <= k or x == unit]
-        for a in members:
-            for b in members:
-                ab = t[a][b]
-                for c in members if k in (a, b) else (k,):
-                    bc = t[b][c]
-                    if ab is None or bc is None:
-                        continue
-                    left, right = t[ab][c], t[a][bc]
-                    if left is not None and right is not None and left != right:
-                        return False
+    def associates(x: int, y: int, v: int) -> bool:
+        """(ab)c = a(bc) wherever set, on the triples that read t[x][y] = v."""
+        tx, ty, tv = t[x], t[y], t[v]
+        for c in free:  # a, b = x, y
+            yc, vc = ty[c], tv[c]
+            if yc is not None and vc is not None:
+                xyc = tx[yc]
+                if xyc is not None and xyc != vc:
+                    return False
+        for a in free:  # b, c = x, y
+            ta = t[a]
+            ax, av = ta[x], ta[v]
+            if ax is not None and av is not None:
+                axy = t[ax][y]
+                if axy is not None and axy != av:
+                    return False
+        for a, b in where[x]:  # ab = x, c = y
+            by = t[b][y]
+            if by is not None:
+                aby = t[a][by]
+                if aby is not None and aby != v:
+                    return False
+        for b, c in where[y]:  # a = x, bc = y
+            xb = tx[b]
+            if xb is not None:
+                xbc = t[xb][c]
+                if xbc is not None and xbc != v:
+                    return False
         return True
 
     def place(i: int) -> None:
-        if i == len(cells):
-            try:
-                results.append(validate(n, unit, t))
-            except InvalidChainError:
-                pass
+        if i == len(steps):
+            results.append(validate(n, unit, t))
             return
-        x, y = cells[i]
-        k = max(x, y)
-        last_for_k = i + 1 == len(cells) or max(cells[i + 1]) != k
-        for v in (x, y) if idempotent else range(n):
-            t[x][y] = v
-            if commutative:
-                t[y][x] = v
-            if _row_col_ok(t, x, y, n) and (not last_for_k or assoc_ok(k)):
+        x, y, ((a, b), (c, d)), hi, mirror = steps[i]
+        low = max(t[a][b], t[c][d])
+        high = min([t[p][q] for p, q in hi], default=n - 1)
+        values = [v for v in (x, y) if low <= v <= high] if idempotent else range(low, high + 1)
+        tx, ty = t[x], t[y]
+        for v in values:
+            tx[y] = v
+            where[v].append((x, y))
+            if mirror:
+                ty[x] = v
+                where[v].append((y, x))
+            if associates(x, y, v):
                 place(i + 1)
-        t[x][y] = None
-        if commutative:
-            t[y][x] = None
+            where[v].pop()
+            if mirror:
+                where[v].pop()
+        tx[y] = None
+        if mirror:
+            ty[x] = None
 
     place(0)
-
-
-def _row_col_ok(t, x: int, y: int, n: int) -> bool:
-    """Monotonicity around a fresh entry against already filled neighbours."""
-    v = t[x][y]
-    for yy in range(y - 1, -1, -1):
-        if t[x][yy] is not None:
-            if t[x][yy] > v:
-                return False
-            break
-    for yy in range(y + 1, n):
-        if t[x][yy] is not None:
-            if v > t[x][yy]:
-                return False
-            break
-    for xx in range(x - 1, -1, -1):
-        if t[xx][y] is not None:
-            if t[xx][y] > v:
-                return False
-            break
-    for xx in range(x + 1, n):
-        if t[xx][y] is not None:
-            if v > t[xx][y]:
-                return False
-            break
-    return True

@@ -2,6 +2,7 @@
 subuniverses, isomorphism, and bounded enumeration."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -343,6 +344,30 @@ def test_enumerate_matches_the_brute_force_oracle(n, idempotent):
                 continue
             want = [sig for sig, holds in oracle if all(holds[f] for f in subset)]
             assert [c.signature for c in enumerate_chains(n, subset)] == want, subset
+
+
+@pytest.mark.parametrize("n,filters,count,digest", [
+    (6, (), 575, "836e3c243b1b1aeb86b05e975fe4c4b62d1c9e97c43cb54a14cb77bfce15bf05"),
+    (7, (), 4687, "3d1ea8cee7cec05bf22316504ccc022de762eea6936d13bc20d03f3de20571b1"),
+    (6, ("commutative",), 213,
+     "3932880befbf2c394b41bbcf236fce6853f1758b305c7a10e50afc3190c14d84"),
+    (7, ("commutative",), 1073,
+     "503e67c69a40e08b634bcda35c55c418ff9fc35994e182defb0727b8a20b62ed"),
+    (7, ("idempotent",), 120,
+     "f3ba273455fdf42ec6719b6938351a0debc6832b47cb502a307025a88086762f"),
+    (8, ("idempotent",), 328,
+     "f53a8fd32d69e7012c3cee787bea74fabdfdef6f4da507fb300ce4540e5d2636"),
+    (9, ("commutative", "idempotent"), 128,
+     "017be18d5cc969e3f6cfa1dd1b142f662df0b2008a29b274d498765567ab143c"),
+])
+def test_enumerate_is_pinned_past_the_oracle(monkeypatch, n, filters, count, digest):
+    # count and SHA-256 over the concatenated signatures, recorded with the
+    # search that tried every value in every cell and checked associativity
+    # once per largest coordinate
+    monkeypatch.setenv("RESICHAIN_MAX_SIZE", str(max(n, 7)))
+    chains = enumerate_chains(n, filters)
+    assert len(chains) == count
+    assert hashlib.sha256(b"".join(c.signature for c in chains)).hexdigest() == digest
 
 
 def test_enumerate_rejects_unknown_filter():
