@@ -7,26 +7,21 @@ exhaustively in canonical order, and remembers what each candidate
 decided for a span in a table that classification's span search shares;
 amalgamate_components instead builds the completion directly for spans
 of Gödel chains or of two-sided chains by zipping the two element lists
-around the images of the common chain.
+around the images of the common chain. Certificates, constructions and
+the table are _memo memos, and the table starts over only between searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .chain import FiniteChain, chain_from_json, enumerate_chains, enumeration_cap
+from ._memo import Memo, remembered
+from .chain import FiniteChain, chain_from_json, check_cap, enumerate_chains
 from .constructors import com, go
 from .decomposition import decompose
-from .errors import (
-    InvalidSpan,
-    NotCommutative,
-    NotIdempotent,
-    ShapeMismatch,
-    SizeTooLarge,
-)
+from .errors import InvalidSpan, NotCommutative, NotIdempotent, ShapeMismatch
 from .morphisms import (
     ChainMap,
     embedding_images,
@@ -184,53 +179,36 @@ def canonical_order(chains: Iterable[FiniteChain]) -> list:
 def _default_candidates(size_bound: int) -> CandidatePool:
     """Every residuated chain up to size_bound. A bound past the
     enumeration cap is refused before any chain is enumerated."""
-    cap = enumeration_cap()
-    if size_bound > cap:
-        raise SizeTooLarge(f"size {size_bound} exceeds the enumeration cap {cap}")
+    check_cap(size_bound)
     return CandidatePool(d for n in range(1, size_bound + 1) for d in enumerate_chains(n))
 
 
-@lru_cache(maxsize=4096)
-def _certificate(B, C, D, jb: tuple, jc: tuple, one_sided: bool, labels: tuple) -> AmalgamResult:
+@remembered(chains=3)
+def _certificate(B, C, D, jb: tuple, jc: tuple, one_sided: bool) -> AmalgamResult:
     """One shared record per distinct certificate: criterion 2's 71,236
-    spans have 2,890 distinct ones. Chains that differ only in labels
-    compare equal, so the labels of B, C and D are part of the key."""
+    spans have 2,890 distinct ones."""
     return AmalgamResult(D, ChainMap(B, D, jb), ChainMap(C, D, jc), one_sided)
 
 
 # Whether D completes a span depends only on the signatures of B, C and D,
 # the two leg images and one_sided. Both span searches, find_amalgam and
 # classification.find_refuting_span, read each answer from this table and
-# write it there, as a bit of D in a mask. The four parts start over
-# together once one of them holds _TABLE_LIMIT entries: every mask is read
-# through _BITS, so clearing one part without the others would make masks
-# name the wrong chains. Each restart begins a new generation, and a
-# CandidatePool's bits are good only in the generation that issued them.
-_TABLE_LIMIT = 1 << 16
+# write it there, as a bit of D in a mask. The table is the memo _SPANS and
+# three parts, which start over together and only in _SPANS.make_room(),
+# called before a search reads a bit: masks are read through _BITS, so none
+# may outlive the bits it was built from. A CandidatePool's bits hold until
+# the next restart.
 # D.signature -> its bit in the masks
 _BITS: dict = {}
-# (B.signature, i_B image, C.signature, i_C image, one_sided) -> [mask of
-# the D's known to complete the span, mask of the D's known not to]
-_SPANS: dict = {}
 # B.signature -> mask of the D's that B does not embed in, which complete no
 # span out of B
 _NON_HOSTS: dict = {}
 # (span key, D.signature) -> _completion's (j_B, j_C) images for a D known to
 # complete the span
 _LEGS: dict = {}
-_TABLES = (_BITS, _SPANS, _NON_HOSTS, _LEGS)
-_generation = 0
-
-
-def _make_room() -> None:
-    """Start the table over once a part of it is full. Every search calls
-    it before it reads a bit, so no mask outlives the bits it was built
-    from."""
-    global _generation
-    if max(map(len, _TABLES)) >= _TABLE_LIMIT:
-        for table in _TABLES:
-            table.clear()
-        _generation += 1
+# (B.signature, i_B image, C.signature, i_C image, one_sided) -> [mask of
+# the D's known to complete the span, mask of the D's known not to]
+_SPANS = Memo(_BITS, _NON_HOSTS, _LEGS)
 
 
 def _bits(chains: Iterable[FiniteChain]) -> list:
@@ -258,14 +236,16 @@ def _completed_in(members: Sequence[FiniteChain]) -> Callable[..., bool]:
     them is answered from its masks; otherwise only the members not yet
     decided go through _completion. Use the test before the next search
     starts, since a restart of the table renumbers the bits."""
-    _make_room()
+    _SPANS.make_room()
     bits = _bits(members)
     in_members = sum(bits)
 
     def completed(B, i_b: tuple, C, i_c: tuple) -> bool:
         key = (B.signature, i_b, C.signature, i_c, True)
         entry = _SPANS.get(key)
-        if entry is None:
+        _SPANS.hits += entry is not None
+        if entry is None:  # not put(), which could start the table over mid-search
+            _SPANS.misses += 1
             entry = _SPANS[key] = [0, 0]
         elif entry[0] & in_members:
             return True
@@ -331,18 +311,18 @@ def find_amalgam(
     pool = _default_candidates(size_bound) if candidates is None else candidates
     if not isinstance(pool, CandidatePool):
         pool = CandidatePool(pool)
-    _make_room()
-    order = pool.canonical
-    if pool._generation != _generation:
-        pool._bits, pool._generation = _bits(order), _generation
-    bits = pool._bits
+    _SPANS.make_room()
     i_b, i_c = span.i_B.image, span.i_C.image
     key = (B.signature, i_b, C.signature, i_c, one_sided)
-    entry = _SPANS.setdefault(key, [0, 0])
+    entry = _SPANS.get(key)
+    _SPANS.hits += entry is not None
+    entry = entry or _SPANS.put(key, [0, 0])
+    if pool._generation != _SPANS.restarts:
+        pool._bits, pool._generation = _bits(pool.canonical), _SPANS.restarts
     yes = entry[0]
     skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
     checked = 0
-    for d, bit in zip(order, bits):
+    for d, bit in zip(pool.canonical, pool._bits):
         if d.size > size_bound:
             break
         if not class_membership(d):
@@ -356,7 +336,7 @@ def find_amalgam(
             legs = _decide(key, entry, B, i_b, C, i_c, d, bit, one_sided)
             if legs is None:
                 continue
-        return _certificate(B, C, d, *legs, one_sided, (B.labels, C.labels, d.labels))
+        return _certificate(B, C, d, *legs, one_sided)
     if complete:
         return Refuted(checked=checked)
     return BoundExhausted(size_bound=size_bound)
@@ -412,17 +392,15 @@ def amalgamate_components(span: Span) -> AmalgamResult:
     verify_amalgam. Remembered per distinct span, a ShapeMismatch too:
     criterion 2's 71,236 spans have 5,112 distinct ones."""
     A, B, C = span.A, span.B, span.C
-    res = _components(A, B, C, span.i_B.image, span.i_C.image, (A.labels, B.labels, C.labels))
+    res = _components(A, B, C, span.i_B.image, span.i_C.image)
     if res is None:
         raise ShapeMismatch()
     return res
 
 
-@lru_cache(maxsize=8192)
-def _components(A, B, C, i_b: tuple, i_c: tuple, labels: tuple) -> Optional[AmalgamResult]:
-    """_construct's amalgam, or None for a ShapeMismatch. Chains that
-    differ only in labels compare equal, so the labels of A, B and C are
-    part of the key."""
+@remembered(chains=3)
+def _components(A, B, C, i_b: tuple, i_c: tuple) -> Optional[AmalgamResult]:
+    """_construct's amalgam, or None for a ShapeMismatch."""
     try:
         return _construct(A, B, C, i_b, i_c)
     except ShapeMismatch:

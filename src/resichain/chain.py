@@ -49,6 +49,13 @@ def enumeration_cap() -> int:
     return cap
 
 
+def check_cap(n: int, what: str = "size") -> None:
+    """Refuse n above the enumeration cap with SizeTooLarge."""
+    cap = enumeration_cap()
+    if n > cap:
+        raise SizeTooLarge(f"{what} {n} exceeds the enumeration cap {cap}")
+
+
 def _encode_signature(size: int, unit: int, mult: tuple) -> bytes:
     flat = [size, unit]
     for row in mult:
@@ -439,9 +446,7 @@ def enumerate_chains(n: int, filters: Iterable[str] = ()):
         raise ValueError(f"unknown filters: {sorted(unknown)}")
     if n < 1:
         raise ValueError("size must be at least 1")
-    cap = enumeration_cap()
-    if n > cap:
-        raise SizeTooLarge(f"size {n} exceeds the enumeration cap {cap}")
+    check_cap(n)
 
     results = [TRIVIAL] if n == 1 else []
     for unit in range(1, n):

@@ -15,11 +15,11 @@ one-sided completion inside the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
+from ._memo import Memo, remembered
 from .chain import (
     FiniteChain,
     canonical_signature,
@@ -270,7 +270,7 @@ class ChainClass:
 
     def is_hs_closed(self) -> bool:
         keys = {canonical_signature(c) for c in self.members}
-        return bool(keys) and all(keys >= _closure_of(c, c.labels).keys() for c in self.members)
+        return bool(keys) and all(keys >= _closure_of(c).keys() for c in self.members)
 
 
 def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
@@ -292,15 +292,10 @@ def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
         stack.append((x + 1, chosen, out | 1 << x))
 
 
-def _hs_step(chain: FiniteChain) -> tuple:
+@remembered(chains=1)
+def _hs_images(chain: FiniteChain) -> tuple:
     """Every subalgebra, in the order of their element bitmasks, then every
     quotient, of one chain (the chain itself among them)."""
-    return _hs_images(chain, chain.labels)
-
-
-@lru_cache(maxsize=4096)
-def _hs_images(chain: FiniteChain, labels) -> tuple:
-    # label variants compare equal; the key keeps their images apart
     def members(mask: int) -> list:
         return [x for x in chain.elements() if mask >> x & 1]
 
@@ -314,18 +309,15 @@ def _hs_images(chain: FiniteChain, labels) -> tuple:
 
 
 # Equal closures come back as one shared object: members tuple -> the
-# ChainClasses built on it, one per label variant. The table starts over
-# once it holds _CLOSED_LIMIT entries.
-_CLOSED_LIMIT = 1 << 16
-_CLOSED: dict = {}
+# ChainClasses built on it, one per label variant.
+_CLOSED = Memo()
 
 
-@lru_cache(maxsize=4096)
-def _closure_of(chain: FiniteChain, labels) -> dict:
+@remembered(chains=1)
+def _closure_of(chain: FiniteChain) -> dict:
     """{canonical signature: chain} for the HS-closure of one chain, in
-    the order a last-in first-out walk of _hs_step images first reaches
-    each signature; label variants compare equal, so the key keeps their
-    closures apart."""
+    the order a last-in first-out walk of _hs_images first reaches each
+    signature."""
     pool = {}
     work = [chain]
     while work:
@@ -333,7 +325,7 @@ def _closure_of(chain: FiniteChain, labels) -> dict:
         key = canonical_signature(c)
         if key not in pool:
             pool[key] = c
-            work.extend(_hs_step(c))
+            work.extend(_hs_images(c))
     return pool
 
 
@@ -345,8 +337,8 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     HS-closed, so classify does not check it again.
 
     The closure of a set is the union of its generators' closures, each
-    remembered by _closure_of. The last-in first-out walk of _hs_step
-    images from all the generators (selfcheck.reference_hs_closure) pops
+    remembered by _closure_of. The last-in first-out walk of _hs_images
+    from all the generators (selfcheck.reference_hs_closure) pops
     the last generator first and finishes its closure before it pops the
     next. Its pool is then HS-closed, so expanding a chain whose signature
     is already in the pool reaches only signatures already there, and
@@ -361,22 +353,21 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
         if key not in pool:
             # chains already in the pool stay; g stands for its own signature
             # even when the memo holds an equal copy that validate did not intern
-            pool = {**_closure_of(g, g.labels), **pool, key: g}
+            pool = {**_closure_of(g), **pool, key: g}
     # one chain per signature already, so sorting gives K's members
     members = tuple(sorted(pool.values(), key=attrgetter("signature")))
     variants = _CLOSED.get(members, ())
     for earlier in variants:
         if all(x is y for x, y in zip(earlier.members, members)):
+            _CLOSED.hits += 1
             return earlier
     K = ChainClass(members=members)
     object.__setattr__(K, "_closed", bool(members))
-    if len(_CLOSED) >= _CLOSED_LIMIT:
-        _CLOSED.clear()
-    _CLOSED[members] = variants + (K,)
+    _CLOSED.put(members, variants + (K,))
     return K
 
 
-@lru_cache(maxsize=None)
+@remembered
 def _finite_classes() -> dict:
     """The twelve finite classes, keyed by their (distinct) signature sets."""
     return {
@@ -453,7 +444,7 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@remembered
 def _instances(sig: DecompositionSignature) -> tuple:
     """Every rule instance whose first premise is sig and whose conclusion
     has at most _AUDIT_SIZE_CAP elements (measured by
@@ -510,7 +501,7 @@ class HasAP:
         return {"ap": True, "class": self.canonical.text()}
 
 
-@lru_cache(maxsize=None)
+@remembered
 def _has_ap(canonical: CanonicalClass) -> HasAP:
     return HasAP(canonical=canonical)
 
@@ -529,14 +520,13 @@ class NoAP:
         return out
 
 
-@lru_cache(maxsize=4096)
-def _witness(A, B, C, i_b: tuple, i_c: tuple, labels: tuple) -> Span:
-    """One shared witness per distinct span. Chains that differ only in
-    labels compare equal, so the labels of A, B and C are part of the key."""
+@remembered(chains=3)
+def _witness(A, B, C, i_b: tuple, i_c: tuple) -> Span:
+    """One shared witness per distinct span."""
     return Span(A, B, C, ChainMap(A, B, i_b), ChainMap(A, C, i_c))
 
 
-@lru_cache(maxsize=None)
+@remembered
 def _refuted(checked: int) -> Refuted:
     return Refuted(checked=checked)
 
@@ -567,8 +557,7 @@ def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]
                 for i_b in legs_b:
                     for i_c in legs_c:
                         if not completed(B, i_b, C, i_c):
-                            labels = (A.labels, B.labels, C.labels)
-                            return _witness(A, B, C, i_b, i_c, labels), _refuted(len(members))
+                            return _witness(A, B, C, i_b, i_c), _refuted(len(members))
     return None, None
 
 

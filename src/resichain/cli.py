@@ -21,6 +21,7 @@ from .chain import (
     STAR,
     FiniteChain,
     chain_from_json,
+    check_cap,
     enumerate_chains,
     enumeration_cap,
     predicates,
@@ -336,10 +337,8 @@ def _load_generators(path):
     if not isinstance(data, list):
         raise MalformedInput('expected a list of chains or {"generators": [...]}')
     chains = [_decode(chain_from_json, d) for d in data]
-    cap = enumeration_cap()
     for c in chains:
-        if c.size > cap:
-            raise SizeTooLarge(f"size {c.size} exceeds the enumeration cap {cap}")
+        check_cap(c.size)
     return chains
 
 
@@ -407,6 +406,7 @@ def cmd_asop(args) -> int:
     else:
         if args.depth < 0:
             _usage_error("--depth must be a natural number")
+        check_cap(args.depth, "depth")
         reach = generated_reach(spec, operands[0], args.depth)
         result = [el.text() for el in sorted(reach, key=zchain._order_key)]
     _emit({"result": result}, args)
@@ -453,9 +453,7 @@ def cmd_verify(args) -> int:
         _usage_error("--max-size must be at least 1")
     if args.jobs < 1:
         _usage_error("--jobs must be at least 1")
-    cap = enumeration_cap()
-    if args.max_size > cap:
-        raise SizeTooLarge(f"size {args.max_size} exceeds the enumeration cap {cap}")
+    check_cap(args.max_size)
     ok = True
     for name in names:
         checked, failures = SUITES[name](args.max_size, args.seed, args.jobs)

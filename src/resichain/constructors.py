@@ -13,14 +13,14 @@ the chain.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
+from ._memo import remembered
 from .chain import FiniteChain, predicates, validate
 from .errors import NotAdmissible
 
 
-@lru_cache(maxsize=None)
+@remembered
 def go(n: int) -> FiniteChain:
     """Goedel chain with n elements strictly below the unit; built once
     per n."""
@@ -32,7 +32,7 @@ def go(n: int) -> FiniteChain:
     return validate(size, n, table, labels=labels)
 
 
-@lru_cache(maxsize=None)
+@remembered
 def com(m: int, n: int) -> FiniteChain:
     """Two-sided chain with m+1 elements below the unit and n+1 above;
     built once per (m, n)."""

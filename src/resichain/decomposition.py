@@ -9,8 +9,7 @@ off the component parameters.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from ._memo import remembered
 from .chain import FiniteChain, predicates
 from .constructors import com, go, nested_sum
 from .errors import NotCommutative, NotIdempotent
@@ -129,7 +128,7 @@ def decompose(chain: FiniteChain) -> DecompositionSignature:
     return sig
 
 
-@lru_cache(maxsize=None)
+@remembered
 def recompose(sig: DecompositionSignature) -> FiniteChain:
     """The nested sum of com(m_i, n_i) for each pair, outermost first,
     around go(p); built once per signature. Inverse of decompose up to
@@ -140,7 +139,7 @@ def recompose(sig: DecompositionSignature) -> FiniteChain:
     return nested_sum(parts)
 
 
-@lru_cache(maxsize=None)
+@remembered
 def _signature_count(budget: int) -> int:
     """Number of component sequences of total weight ≤ budget; the spare
     weight becomes the tail. A two-sided component of weight w ≥ 2 can

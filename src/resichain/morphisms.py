@@ -4,7 +4,8 @@ Maps are stored as tuples of images. On idempotent chains an injective
 order-preserving unit-preserving map is an embedding exactly when it
 preserves the two unit-residual operations, so enumeration only needs to
 track those; general chains fall back to checking the full signature.
-is_embedding and is_homomorphism remember one verdict per distinct map.
+is_embedding and is_homomorphism remember one verdict per distinct map,
+and maps between two signatures are listed once, under _memo's policy.
 Congruences are determined by their unit class, which must be an
 order-convex normal subuniverse; the whole partition is kept explicit
 because quotients and projections read it directly.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._memo import Memo, remembered
 from .chain import FiniteChain, signature_hex, validate
 
 
@@ -60,20 +62,17 @@ class ChainMap:
 
 # (domain signature, codomain signature, image, check) -> verdict. A
 # signature fixes the whole table, so the key fixes the answer. Criterion
-# 2's 71,236 spans make about 353,000 checks on 2,955 distinct maps, which
-# _VERDICT_LIMIT holds; the table starts over when it is full. Enumerations
-# call the check bodies directly and never fill it.
-_VERDICT_LIMIT = 1 << 12
-_VERDICTS: dict = {}
+# 2's 71,236 spans make about 353,000 checks on 2,955 distinct maps.
+# Enumerations call the check bodies directly and never fill it.
+_VERDICTS = Memo()
 
 
 def _remembered(check, h: ChainMap) -> bool:
     key = (h.domain.signature, h.codomain.signature, h.image, check)
     verdict = _VERDICTS.get(key)
     if verdict is None:
-        if len(_VERDICTS) >= _VERDICT_LIMIT:
-            _VERDICTS.clear()
-        verdict = _VERDICTS[key] = check(h)
+        return _VERDICTS.put(key, check(h))
+    _VERDICTS.hits += 1
     return verdict
 
 
@@ -181,15 +180,13 @@ def _embeddings_images(a: FiniteChain, b: FiniteChain) -> Iterable[tuple]:
     yield from extend(0, 0)
 
 
-# one shared tuple per distinct image: the memos repeat a few thousand of them
-_IMAGES: dict = {}
 # (a.signature, b.signature) -> image tuples. Maps do not depend on labels,
 # and bytes keys hash once and compare in C, where chain keys would call
 # FiniteChain.__eq__ for every label variant.
-_EMBEDDINGS: dict = {}
-_HOMOMORPHISMS: dict = {}
-# a.signature -> (quotient, projection image) for each congruence of a
-_QUOTIENTS: dict = {}
+_EMBEDDINGS = Memo()
+_HOMOMORPHISMS = Memo()
+# one shared tuple per distinct image: the memos repeat a few thousand of them
+_shared = remembered(lambda f: f)
 
 
 def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
@@ -197,9 +194,8 @@ def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
     key = (a.signature, b.signature)
     images = _EMBEDDINGS.get(key)
     if images is None:
-        images = _EMBEDDINGS[key] = tuple(
-            _IMAGES.setdefault(f, f) for f in _embeddings_images(a, b)
-        )
+        return _EMBEDDINGS.put(key, tuple(map(_shared, _embeddings_images(a, b))))
+    _EMBEDDINGS.hits += 1
     return images
 
 
@@ -351,13 +347,16 @@ def homomorphism_images(a: FiniteChain, b: FiniteChain) -> tuple:
     key = (a.signature, b.signature)
     images = _HOMOMORPHISMS.get(key)
     if images is None:
-        quotients = _QUOTIENTS.get(a.signature)
-        if quotients is None:
-            pairs = (quotient(a, cong) for cong in congruences(a))
-            quotients = _QUOTIENTS[a.signature] = [(q, proj.image) for q, proj in pairs]
-        out = [tuple(f[v] for v in proj) for q, proj in quotients for f in embedding_images(q, b)]
-        images = _HOMOMORPHISMS[key] = tuple(_IMAGES.setdefault(f, f) for f in sorted(out))
+        out = [tuple(f[v] for v in p) for q, p in _quotients(a) for f in embedding_images(q, b)]
+        return _HOMOMORPHISMS.put(key, tuple(map(_shared, sorted(out))))
+    _HOMOMORPHISMS.hits += 1
     return images
+
+
+@remembered(chains=1)
+def _quotients(a: FiniteChain) -> list:
+    """(quotient, projection image) for each congruence of a."""
+    return [(q, proj.image) for q, proj in (quotient(a, cong) for cong in congruences(a))]
 
 
 def enumerate_homomorphisms(a: FiniteChain, b: FiniteChain) -> list:

@@ -37,7 +37,7 @@ from .chain import (
     restrict_to,
     signature_hex,
 )
-from .classification import ChainClass, _closed_sets, _hs_step, classify, find_refuting_span
+from .classification import ChainClass, _closed_sets, _hs_images, classify, find_refuting_span
 from .constructors import com, go
 from .decomposition import count_chains, decompose, recompose
 from .errors import ResichainError
@@ -563,7 +563,7 @@ def _hs_closed_sets(chains: list):
     reach = []
     for i, c in enumerate(chains):
         reach.append(1 << i)
-        for d in _hs_step(c):
+        for d in _hs_images(c):
             reach[i] |= reach[index[canonical_signature(d)]]
     # one lookup per eight chains turns a set's mask into its list
     blocks = [[[c for k, c in enumerate(chains[b : b + 8]) if v >> k & 1] for v in range(256)]

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import random
-from functools import partial
 
 import pytest
 
@@ -28,7 +27,7 @@ from resichain import (
     spans_over,
     verify_amalgam,
 )
-from resichain import amalgamation, morphisms
+from resichain import _memo, amalgamation, morphisms
 from resichain.morphisms import embedding_images
 from resichain.classification import all_sixty, class_members, hs_closure, parse_class
 from resichain.constructors import com, go
@@ -309,7 +308,7 @@ def memo_spans():
 
 
 def test_remembered_constructions_equal_the_body_also_when_the_memo_starts_over():
-    amalgamation._components.cache_clear()
+    amalgamation._components.memo.clear()
     spans = list(memo_spans())
     want = [as_record(constructed(span)) for span in spans]
     assert len(spans) > 2000 and None in want
@@ -319,7 +318,7 @@ def test_remembered_constructions_equal_the_body_also_when_the_memo_starts_over(
         got = []
         for n, span in enumerate(spans):
             if clear_every and n % clear_every == 0:
-                amalgamation._components.cache_clear()
+                amalgamation._components.memo.clear()
             got.append(as_record(remembered(span)))
         assert got == want
 
@@ -344,20 +343,21 @@ def test_remembered_constructions_carry_the_callers_labels():
 def test_a_mismatched_span_raises_on_every_call():
     a = go(0)
     span = Span(a, go(1), com(0, 0), inclusion(a, go(1), (1,)), inclusion(a, com(0, 0), (1,)))
-    amalgamation._components.cache_clear()
+    memo = amalgamation._components.memo
+    memo.clear()
+    start = (memo.misses, memo.hits)
     for calls in range(1, 4):
         with pytest.raises(ShapeMismatch):
             amalgamate_components(span)
-        info = amalgamation._components.cache_info()
         # built once, then read back
-        assert (info.misses, info.hits) == (1, calls - 1)
+        assert (memo.misses - start[0], memo.hits - start[1]) == (1, calls - 1)
 
 
 def test_the_component_suite_leaves_the_memo_empty():
-    amalgamation._components.cache_clear()
+    amalgamation._components.memo.clear()
     checked, failures = suite_component_amalgams(5, 0, 1)
     assert checked > 0 and failures == []
-    assert amalgamation._components.cache_info().currsize == 0
+    assert len(amalgamation._components.memo) == 0
 
 
 # --- certificate verification --------------------------------------------
@@ -566,15 +566,8 @@ def test_criterion_2_certificates_match_the_pinned_digest():
 def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts_over():
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
-    clear = amalgamation._components.cache_clear
+    clear = amalgamation._components.memo.clear
     assert criterion_2_digest(sample, pools, 100, clear) == CRITERION_2_SAMPLE_DIGEST
-
-
-def restart_the_completion_table(monkeypatch):
-    """Start the completion table over the way a full table does."""
-    with monkeypatch.context() as patch:
-        patch.setattr(amalgamation, "_TABLE_LIMIT", 0)
-        amalgamation._make_room()
 
 
 def test_criterion_2_certificates_match_the_pinned_digest_while_the_table_starts_over(monkeypatch):
@@ -582,13 +575,26 @@ def test_criterion_2_certificates_match_the_pinned_digest_while_the_table_starts
     # restart, so each pool must notice and take new bits
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
-    start = amalgamation._generation
-    clear = partial(restart_the_completion_table, monkeypatch)
-    assert criterion_2_digest(sample, pools, 100, clear) == CRITERION_2_SAMPLE_DIGEST
-    assert amalgamation._generation - start == 21
+    table = amalgamation._SPANS
+    start = table.restarts
+    assert criterion_2_digest(sample, pools, 100, table.clear) == CRITERION_2_SAMPLE_DIGEST
+    assert table.restarts - start == 21
     # a limit below the widest pool's 2,048 chains: the table fills and
     # starts over on its own, between the searches of other pools
-    monkeypatch.setattr(amalgamation, "_TABLE_LIMIT", 1500)
-    start = amalgamation._generation
+    monkeypatch.setattr(_memo, "LIMIT", 1500)
+    start = table.restarts
     assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
-    assert amalgamation._generation - start > 100
+    assert table.restarts - start > 100
+
+
+def test_criterion_2_certificates_match_the_pinned_digest_while_every_memo_starts_over(monkeypatch):
+    # every memo starts over together every 37 spans; then each starts over
+    # on its own at a limit of 64 entries, and with it the completion table
+    # while pools hold bits from before
+    sample = criterion_2_sample()
+    pools = [class_members(cls, 12) for cls in all_sixty()]
+    assert criterion_2_digest(sample, pools, 37, _memo.clear) == CRITERION_2_SAMPLE_DIGEST
+    monkeypatch.setattr(_memo, "LIMIT", 64)
+    start = amalgamation._SPANS.restarts
+    assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
+    assert amalgamation._SPANS.restarts - start > 100

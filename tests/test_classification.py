@@ -35,7 +35,7 @@ from resichain import (
     parse_class,
     sig_in_class,
 )
-from resichain import amalgamation, classification
+from resichain import _memo, amalgamation, classification
 from resichain.amalgamation import (
     AmalgamResult,
     CandidatePool,
@@ -374,14 +374,14 @@ def test_span_search_does_not_depend_on_the_sets_searched_before(
     sets, want = small_sets_and_answers
     forward = list(range(len(sets)))
     orders = (forward, forward[::-1], random.Random(11).sample(forward, len(forward)))
-    for limit in (amalgamation._TABLE_LIMIT, 100):
-        monkeypatch.setattr(amalgamation, "_TABLE_LIMIT", limit)
+    for limit in (_memo.LIMIT, 100):
+        monkeypatch.setattr(_memo, "LIMIT", limit)
         for order in orders:
             got = [refutation(find_refuting_span(sets[i])) for i in order]
             assert got == [want[i] for i in order]
 
 
-def test_both_span_searches_share_one_completion_table(monkeypatch):
+def test_both_span_searches_share_one_completion_table():
     # find_refuting_span and the one-sided find_amalgam read and write the
     # same table. In either order, the second search reads what the first
     # wrote, and both still match their references. The first spans in
@@ -395,9 +395,7 @@ def test_both_span_searches_share_one_completion_table(monkeypatch):
         bound = max(c.size for c in K.members)
         pool = CandidatePool(K.members)
         for refuting_first in (True, False):
-            with monkeypatch.context() as patch:
-                patch.setattr(amalgamation, "_TABLE_LIMIT", 0)
-                amalgamation._make_room()
+            amalgamation._SPANS.clear()
             if refuting_first:
                 assert refutation(find_refuting_span(K)) == want
             for i, span in enumerate(picked):
@@ -519,7 +517,7 @@ def test_rule_audit_does_not_depend_on_the_sets_audited_before():
     # the instance lists are remembered per signature, so every set is
     # audited with the lists built afresh, again, and in reverse order
     sets = small_closed_sets() + seeded_closures()
-    classification._instances.cache_clear()
+    classification._instances.memo.clear()
     cold = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
     warm = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
     again = [[v.as_dict() for v in closure_rule_violations(K)] for K in reversed(sets)]
@@ -598,12 +596,13 @@ def verdict_record(verdict) -> list:
     return record
 
 
-def test_a_closure_remembers_its_verdict(monkeypatch, closures):
-    with monkeypatch.context() as patch:
-        # a limit of 0 starts the completion table over on every call, and
+def test_a_closure_remembers_its_verdict(closures):
+    cold = []
+    for K in closures:
+        # the completion table starts over before every search, and
         # from_chains builds a K that remembers nothing
-        patch.setattr(amalgamation, "_TABLE_LIMIT", 0)
-        cold = [verdict_record(ap_verdict(ChainClass.from_chains(K.members))) for K in closures]
+        amalgamation._SPANS.clear()
+        cold.append(verdict_record(ap_verdict(ChainClass.from_chains(K.members))))
     warm = [ap_verdict(K) for K in closures]
     assert all(ap_verdict(K) is verdict for K, verdict in zip(closures, warm))
     assert [verdict_record(verdict) for verdict in warm] == cold
@@ -680,15 +679,16 @@ def members_record(K) -> list:
 def test_hs_closure_keeps_the_chains_that_the_walk_keeps():
     # a closure is merged from one remembered closure per generator; each
     # signature must keep the very chain that the plain walk keeps
-    classification._closure_of.cache_clear()
-    classification._hs_images.cache_clear()
+    classification._closure_of.memo.clear()
+    classification._hs_images.memo.clear()
+    restarts = classification._hs_images.memo.restarts
     lists = generator_lists()
     assert len(lists) == 2 * 643 + 25 + 2 * 40
     for generators in lists:
         got, want = hs_closure(generators).members, reference_hs_closure(generators).members
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
     # no image was evicted, so both sides met the same image objects
-    assert classification._hs_images.cache_info().currsize < 4096
+    assert classification._hs_images.memo.restarts == restarts
 
 
 def test_hs_step_lists_the_reference_images_of_every_small_chain():
@@ -700,7 +700,7 @@ def test_hs_step_lists_the_reference_images_of_every_small_chain():
     assert len(chains) == 679 + 120
     assert sum(not c.tables.predicates.idempotent for c in chains) == 609
     for c in chains:
-        got, want = classification._hs_step(c), reference_hs_images(c)
+        got, want = classification._hs_images(c), reference_hs_images(c)
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
 
 
@@ -713,9 +713,9 @@ def test_hs_closure_does_not_depend_on_the_closures_built_before():
     got = []
     for i, generators in enumerate(lists):
         if i % 2 == 0:
-            classification._closure_of.cache_clear()
+            classification._closure_of.memo.clear()
         if i % 7 == 0:
-            classification._hs_images.cache_clear()
+            classification._hs_images.memo.clear()
         got.append(members_record(hs_closure(generators)))
     assert got == want
 
@@ -726,11 +726,15 @@ def test_hs_closure_does_not_depend_on_the_closures_built_before():
 VERDICT_DIGEST = "109d9d578dd38122c5c9b44da9968fb7027b82d526a9d33ce64fd5e5644a8bb9"
 
 
-def test_closure_verdicts_match_the_pinned_digest():
+def closure_verdicts_digest(clear_every=None) -> str:
+    """SHA-256 over 2,000 seeded closures' verdicts and member labels;
+    every memo starts over every clear_every closures."""
     rng = random.Random(18)
     chains = class_members(parse_class("inf:w,w,w"), 7)
     records = []
-    for _ in range(2000):
+    for n in range(2000):
+        if clear_every and n % clear_every == 0:
+            _memo.clear()
         K = hs_closure(rng.sample(chains, rng.randint(1, 3)))
         verdict = ap_verdict(K)
         refutation = getattr(verdict, "refutation", None)
@@ -739,4 +743,19 @@ def test_closure_verdicts_match_the_pinned_digest():
         )
     blob = json.dumps(records, ensure_ascii=False, sort_keys=True).encode()
     assert sum(isinstance(record[2], int) for record in records) == 1905
-    assert hashlib.sha256(blob).hexdigest() == VERDICT_DIGEST
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_closure_verdicts_match_the_pinned_digest():
+    assert closure_verdicts_digest() == VERDICT_DIGEST
+
+
+def test_closure_verdicts_match_the_pinned_digest_while_every_memo_starts_over(monkeypatch):
+    # every memo starts over together every 400 closures; then each starts
+    # over on its own at a limit of 256 entries, the completion table about
+    # 40 times
+    assert closure_verdicts_digest(clear_every=400) == VERDICT_DIGEST
+    monkeypatch.setattr(_memo, "LIMIT", 256)
+    start = amalgamation._SPANS.restarts
+    assert closure_verdicts_digest() == VERDICT_DIGEST
+    assert amalgamation._SPANS.restarts - start > 20

@@ -186,6 +186,8 @@ CONTRACT_CASES = [
     (["make", "go:2", "--jobs", "2"], None, 2),
     (["enumerate", "0"], None, 2),
     (["as-op", "--set", "per:01", "reach", "a:0", "--depth", "-1"], None, 2),
+    # each step of the reach adds two elements, so a typo would print gigabytes
+    (["as-op", "--set", "per:0@0", "reach", "a:0", "--depth", "1000000000"], None, "SizeTooLarge"),
     (["ppartition", "MISSING"], None, 2),
     (["classify", "CHAIN"], None, "MalformedInput"),
     (["ap", "CHAIN"], None, "MalformedInput"),

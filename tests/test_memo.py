@@ -1,0 +1,76 @@
+"""The memo layer: one size limit, counts, clear(), and the label rule."""
+
+import pytest
+
+from resichain import _memo, amalgamation, classification, morphisms
+from resichain.amalgamation import _construct
+from resichain.chain import FiniteChain, validate
+from resichain.constructors import com, go
+
+
+def relabeled(chain, tag):
+    return validate(chain.size, chain.unit, chain.mult, labels=[f"{tag}{x}" for x in chain.elements()])
+
+
+def chain_labels(value) -> list:
+    """The labels of every chain a remembered result holds, in order."""
+    if isinstance(value, FiniteChain):
+        return [value.labels]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (tuple, list)):
+        value = [getattr(value, name) for name in ("A", "B", "C", "D", "j_B", "j_C", "domain")
+                 if hasattr(value, name)]
+    return [labels for part in value for labels in chain_labels(part)]
+
+
+A, B, C = com(0, 0), com(1, 0), com(0, 1)
+I_B, I_C = (1, 2, 3), (0, 1, 3)
+CERTIFICATE = _construct(A, B, C, I_B, I_C)
+
+# every remembered function that takes chains, with arguments for it
+CHAIN_ARGUMENTS = {
+    "_hs_images": (classification._hs_images, (com(1, 1),)),
+    "_closure_of": (classification._closure_of, (go(3),)),
+    "_quotients": (morphisms._quotients, (com(1, 1),)),
+    "_witness": (classification._witness, (A, B, C, I_B, I_C)),
+    "_components": (amalgamation._components, (A, B, C, I_B, I_C)),
+    "_certificate": (
+        amalgamation._certificate,
+        (B, C, CERTIFICATE.D, CERTIFICATE.j_B.image, CERTIFICATE.j_C.image, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ARGUMENTS))
+def test_a_label_variant_gets_its_own_entry_and_its_own_labels(name):
+    fn, args = CHAIN_ARGUMENTS[name]
+    variant = tuple(relabeled(a, "v") if isinstance(a, FiniteChain) else a for a in args)
+    # label variants compare equal, so only the label rule tells them apart
+    assert variant == args
+    fn.memo.clear()
+    first, got = fn(*args), fn(*variant)
+    assert len(fn.memo) == 2 and fn(*variant) is got
+    labels = chain_labels(got)
+    assert labels == chain_labels(fn.__wrapped__(*variant)) != chain_labels(first)
+    assert any(label and label[0].startswith("v") for label in labels)
+
+
+def test_clear_starts_every_memo_and_the_completion_table_over():
+    classification.ap_verdict(classification.hs_closure([com(0, 2)]))
+    assert amalgamation._BITS and amalgamation._LEGS
+    restarts = amalgamation._SPANS.restarts
+    _memo.clear()
+    assert not any(table for memo in _memo._MEMOS for table in memo.tables)
+    # so every pool's bits are stale
+    assert amalgamation._SPANS.restarts == restarts + 1
+
+
+def test_a_full_memo_starts_over_and_keeps_its_counts(monkeypatch):
+    monkeypatch.setattr(_memo, "LIMIT", 3)
+    memo = _memo.Memo()
+    for key in range(7):
+        assert memo.put(key, -key) == -key
+        assert len(memo) <= 3
+    assert (memo.misses, memo.restarts, dict(memo)) == (7, 2, {6: -6})
+    _memo._MEMOS.remove(memo)

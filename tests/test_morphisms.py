@@ -19,7 +19,7 @@ from resichain import (
     predicates,
     quotient,
 )
-from resichain import morphisms
+from resichain import _memo, morphisms
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import (
     brute_congruence_blocks,
@@ -108,7 +108,7 @@ def every_map_between_small_chains():
 
 def test_remembered_verdicts_match_the_check_bodies(monkeypatch):
     # a small limit makes the table start over many times along the way
-    monkeypatch.setattr(morphisms, "_VERDICT_LIMIT", 50)
+    monkeypatch.setattr(_memo, "LIMIT", 50)
     morphisms._VERDICTS.clear()
     maps = list(every_map_between_small_chains())
     assert len(maps) > 1000
@@ -331,8 +331,8 @@ def test_each_domain_is_quotiented_once_for_every_codomain(monkeypatch):
         return real(chain, cong)
 
     monkeypatch.setattr(morphisms, "quotient", counted)
-    monkeypatch.setattr(morphisms, "_QUOTIENTS", {})
-    monkeypatch.setattr(morphisms, "_HOMOMORPHISMS", {})
+    morphisms._quotients.memo.clear()
+    morphisms._HOMOMORPHISMS.clear()
     for _ in range(3):
         assert [morphisms.homomorphism_images(a, b) for b in codomains] == want
     assert len(calls) == len(congruences(a)) > 1
