@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ._memo import Memo, remembered
 from .chain import (
     FiniteChain,
-    canonical_signature,
     restrict_to,
     subalgebra_generated,
 )
@@ -252,7 +251,8 @@ class ChainClass:
     A ChainClass also remembers what was worked out about it: whether it
     is known to be HS-closed (set by hs_closure on the non-empty sets it
     builds, and by classify after its first successful check) and its
-    ap_verdict. Neither takes part in ==, hash or repr."""
+    ap_verdict, which a label variant (equal members, other chain objects)
+    takes over on its own chains. Neither takes part in ==, hash or repr."""
 
     members: tuple
     _closed: bool = field(init=False, repr=False, compare=False, default=False)
@@ -269,8 +269,18 @@ class ChainClass:
         return frozenset(decompose(c) for c in self.members)
 
     def is_hs_closed(self) -> bool:
-        keys = {canonical_signature(c) for c in self.members}
-        return bool(keys) and all(keys >= _closure_of(c).keys() for c in self.members)
+        """Whether the set is non-empty and holds each member's HS-closure.
+        The members are walked largest first, and one whose signature an
+        earlier closure held is skipped: its closure lies inside that one."""
+        keys = {c.signature for c in self.members}
+        covered = set()
+        for c in reversed(self.members):
+            if c.signature not in covered:
+                closure = _closure_of(c)
+                if not keys.issuperset(closure):
+                    return False
+                covered.update(closure)
+        return bool(keys)
 
 
 def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
@@ -309,7 +319,8 @@ def _hs_images(chain: FiniteChain) -> tuple:
 
 
 # Equal closures come back as one shared object: members tuple -> the
-# ChainClasses built on it, one per label variant.
+# ChainClasses built on it, one per label variant, from which ap_verdict
+# carries a verdict over.
 _CLOSED = Memo()
 
 
@@ -322,7 +333,7 @@ def _closure_of(chain: FiniteChain) -> dict:
     work = [chain]
     while work:
         c = work.pop()
-        key = canonical_signature(c)
+        key = c.signature
         if key not in pool:
             pool[key] = c
             work.extend(_hs_images(c))
@@ -333,7 +344,8 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     """Least superset closed under subalgebras and quotients. A closure
     whose members are the very chain objects of an earlier one returns
     that earlier ChainClass, with the verdict it remembers. Label variants
-    compare equal, so each gets its own. A non-empty result is marked
+    compare equal, so each gets its own, and ap_verdict carries the verdict
+    of one variant over to the others. A non-empty result is marked
     HS-closed, so classify does not check it again.
 
     The closure of a set is the union of its generators' closures, each
@@ -349,7 +361,7 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     that the walk keeps."""
     pool = {}
     for g in reversed(list(generators)):
-        key = canonical_signature(g)
+        key = g.signature
         if key not in pool:
             # chains already in the pool stay; g stands for its own signature
             # even when the memo holds an equal copy that validate did not intern
@@ -358,7 +370,7 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     members = tuple(sorted(pool.values(), key=attrgetter("signature")))
     variants = _CLOSED.get(members, ())
     for earlier in variants:
-        if all(x is y for x, y in zip(earlier.members, members)):
+        if all(map(is_, earlier.members, members)):
             _CLOSED.hits += 1
             return earlier
     K = ChainClass(members=members)
@@ -432,27 +444,22 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     sigs = K.signatures()
     found = {}
     for sig in sigs:
-        for other, violation in _instances(sig):
+        for other, key, violation in _instances(sig):
             if (other is None or other in sigs) and violation.missing not in sigs:
-                found.setdefault((violation.rule, violation.missing), violation)
-    order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
-    return tuple(
-        sorted(
-            found.values(),
-            key=lambda v: (order[v.rule], v.missing.size, v.missing.pairs, v.missing.p),
-        )
-    )
+                found.setdefault(key, violation)
+    return tuple(found[key] for key in sorted(found))
 
 
 @remembered
 def _instances(sig: DecompositionSignature) -> tuple:
     """Every rule instance whose first premise is sig and whose conclusion
     has at most _AUDIT_SIZE_CAP elements (measured by
-    DecompositionSignature.size), as (second premise or None, the
-    violation it reports when its conclusion is missing). Only this
-    function reads the cap. A second premise is never larger than the
-    conclusion, so the partners are the components and tails up to the
-    cap."""
+    DecompositionSignature.size), as (second premise or None, sort key,
+    the violation it reports when its conclusion is missing). The key, the
+    rule's place in _RULE_TEXT and then the missing signature's size, pairs
+    and tail, stands for one rule and missing signature. Only this function
+    reads the cap. A second premise is never larger than the conclusion,
+    so the partners are the components and tails up to the cap."""
     n = _AUDIT_SIZE_CAP - 2
     components = [DecompositionSignature(((r, s),), 0) for r in range(n) for s in range(n - r)]
     tails = [DecompositionSignature((), q) for q in range(_AUDIT_SIZE_CAP)]
@@ -484,12 +491,14 @@ def _instances(sig: DecompositionSignature) -> tuple:
                 for other in components
                 if other.pairs[0][0] == 0
             ]
+    order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
     out = []
     for rule, other, pairs, q in candidates:
         missing = DecompositionSignature(pairs, q)
         if missing.size <= _AUDIT_SIZE_CAP:
             premises = (sig,) if other is None else (sig, other)
-            out.append((other, RuleViolation(rule, tuple(p.text() for p in premises), missing)))
+            key = (order[rule], missing.size, missing.pairs, missing.p)
+            out.append((other, key, RuleViolation(rule, tuple(p.text() for p in premises), missing)))
     return tuple(out)
 
 
@@ -565,15 +574,42 @@ def ap_verdict(K: ChainClass):
     """HasAP with the canonical class when K is one of the sixty member
     sets; otherwise NoAP carrying the closure-rule audit and, when one
     is found, a concretely refuted span. The verdict is kept on K, and a
-    later call for the same K returns that object."""
+    later call for the same K returns that object. A label variant of a
+    closure that already has a verdict takes that verdict over on its own
+    chains (_carried_verdict) instead of working it out again."""
     verdict = K._verdict
     if verdict is None:
-        cand = classify(K)
-        if cand is not None:
-            verdict = _has_ap(cand)
-        else:
-            audit = closure_rule_violations(K)
-            witness, refutation = find_refuting_span(K)
-            verdict = NoAP(audit=audit, witness=witness, refutation=refutation)
+        verdict = _carried_verdict(K)
+        if verdict is None:
+            cand = classify(K)
+            if cand is not None:
+                verdict = _has_ap(cand)
+            else:
+                audit = closure_rule_violations(K)
+                witness, refutation = find_refuting_span(K)
+                verdict = NoAP(audit=audit, witness=witness, refutation=refutation)
         object.__setattr__(K, "_verdict", verdict)
     return verdict
+
+
+def _carried_verdict(K: ChainClass):
+    """The verdict of a closure in _CLOSED whose members equal K's, moved
+    onto K's chains; None when no such closure has one yet. The
+    classifier, the audit and the span search read only signatures, and
+    equal member tuples list one chain per signature in the same canonical
+    order, so the class, the audit and the refutation carry over as they
+    are, and the witness is the span at the same places over K's own
+    chains: the one find_refuting_span(K) returns, labels included."""
+    for earlier in _CLOSED.get(K.members, ()):
+        verdict = earlier._verdict
+        if verdict is None:
+            continue
+        w = getattr(verdict, "witness", None)
+        if w is not None:
+            own = {c.signature: c for c in K.members}
+            A, B, C = own[w.A.signature], own[w.B.signature], own[w.C.signature]
+            witness = _witness(A, B, C, w.i_B.image, w.i_C.image)
+            if witness is not w:
+                verdict = NoAP(audit=verdict.audit, witness=witness, refutation=verdict.refutation)
+        return verdict
+    return None

@@ -271,6 +271,14 @@ def reference_find_amalgam(
     every B-leg. Unlike the oracles above it calls the library's embedding
     and homomorphism enumeration; it checks the scan around them. Only the
     tests call it."""
+    pool = _reference_pool(candidates, class_membership, size_bound)
+    return _reference_scan(span, pool, size_bound, one_sided, complete)
+
+
+def _reference_pool(candidates, class_membership, size_bound) -> list:
+    """The candidates a reference search scans: those within the bound
+    that the class admits, the first of each signature, sorted by size,
+    then signature."""
     seen = set()
     filtered = []
     for d in candidates:
@@ -282,6 +290,11 @@ def reference_find_amalgam(
         seen.add(key)
         filtered.append(d)
     filtered.sort(key=lambda d: (d.size, canonical_signature(d)))
+    return filtered
+
+
+def _reference_scan(span, filtered, size_bound, one_sided, complete):
+    """reference_find_amalgam's scan over a pool from _reference_pool."""
     checked = 0
     for d in filtered:
         checked += 1
@@ -312,10 +325,10 @@ def reference_find_refuting_span(K):
     call it."""
     members = list(K.members)
     bound = max(c.size for c in members)
+    # every span scans the same pool, so it is filtered and sorted once
+    pool = _reference_pool(members, lambda d: True, bound)
     for span in spans_over(members):
-        res = reference_find_amalgam(
-            span, lambda d: True, bound, one_sided=True, complete=True, candidates=members
-        )
+        res = _reference_scan(span, pool, bound, one_sided=True, complete=True)
         if isinstance(res, Refuted):
             return span, res
     return None, None

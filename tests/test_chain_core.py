@@ -224,6 +224,18 @@ def test_non_closed_subset_is_not_a_subuniverse():
     assert not is_subuniverse(c, {c.unit, lab(c, "a2")})
 
 
+def test_restrict_to_refuses_a_product_closed_set_that_is_no_subuniverse():
+    # {1, 2} is closed under the product but not under the residuals: the
+    # residual of 1 by 2 is 0. On {1, 2} alone no z has 2 * z <= 1, so the
+    # table left over is not residuated and must not come back as a chain
+    c = validate(3, 1, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
+    assert not is_subuniverse(c, {1, 2})
+    for _ in range(2):
+        with pytest.raises(InvalidChainError) as err:
+            restrict_to(c, {1, 2})
+        assert "NotResiduated" in err.value.codes
+
+
 # --- isomorphism ------------------------------------------------------
 
 

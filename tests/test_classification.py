@@ -4,6 +4,7 @@ the closure-rule audit, and AP verdicts."""
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -240,14 +241,39 @@ def test_equal_verdicts_share_their_records():
     assert first.audit is second.audit
     assert first.witness is second.witness
     assert first.refutation is second.refutation
+    # a label variant takes the records over and builds its witness on its
+    # own chains, which a set of the variant's very chains shares
+    variant = hs_closure([relabeled(com(0, 2), "t")])
+    assert variant == K and variant is not K
+    third = ap_verdict(variant)
+    assert third.audit is first.audit and third.refutation is first.refutation
+    assert third.witness == first.witness and third.witness is not first.witness
+    fourth = ap_verdict(ChainClass.from_chains(variant.members))
+    assert fourth.audit is first.audit and fourth.witness is third.witness
     cls = parse_class("fin:1,0,1+e:1")
     has_ap = ap_verdict(ChainClass.from_chains(class_members(cls)))
     assert has_ap is ap_verdict(ChainClass.from_chains(class_members(cls)))
+    assert has_ap is ap_verdict(hs_closure(relabeled(c, "t") for c in class_members(cls)))
 
 
 def test_every_canonical_class_is_hs_closed_at_bounded_scale():
     for cls in all_sixty():
         assert ChainClass.from_chains(class_members(cls, 8)).is_hs_closed()
+
+
+def test_is_hs_closed_matches_the_reference_closure_on_every_small_set():
+    # is_hs_closed skips the members that a larger member's closure
+    # covers; every set of the chains up to size 4, whatever it skips, must
+    # be judged as the reference closure of all its members judges it
+    chains = [c for n in range(1, 5) for c in enumerate_chains(n, ("commutative", "idempotent"))]
+    closed = 0
+    for r in range(len(chains) + 1):
+        for subset in combinations(chains, r):
+            K = ChainClass.from_chains(subset)
+            want = bool(subset) and reference_hs_closure(subset).signatures() == K.signatures()
+            assert K.is_hs_closed() == want
+            closed += want
+    assert 2 ** len(chains) == 256 and closed == 30
 
 
 def test_the_sixty_signature_sets_at_size_nine_are_distinct():
@@ -607,6 +633,42 @@ def test_a_closure_remembers_its_verdict(closures):
     assert all(ap_verdict(K) is verdict for K, verdict in zip(closures, warm))
     assert [verdict_record(verdict) for verdict in warm] == cold
     assert sum(isinstance(verdict, HasAP) for verdict in warm) >= 2 * 11
+
+
+def test_a_label_variant_takes_over_the_verdict_worked_out_before(monkeypatch):
+    # with an earlier variant's verdict at hand, the verdict of a relabeled
+    # closure is carried over without classifying, auditing or searching;
+    # it must equal the verdict worked out from scratch once every memo has
+    # started over, witness labels and legs included
+    carried, seen = [], set()
+    for K in small_closed_sets() + seeded_closures():
+        if K.members in seen:  # a seeded closure may repeat a small set
+            continue
+        seen.add(K.members)
+        earlier = ap_verdict(hs_closure(K.members))
+        variant = hs_closure(relabeled(c, "u") for c in K.members)
+        assert variant == K and variant._verdict is None
+        with monkeypatch.context() as m:
+            for name in ("classify", "closure_rule_violations", "find_refuting_span"):
+                m.setattr(classification, name, None)
+            verdict = ap_verdict(variant)
+        if isinstance(verdict, NoAP):
+            assert verdict.audit is earlier.audit
+            assert verdict.refutation is earlier.refutation
+        else:
+            assert verdict is earlier
+        carried.append((variant.members, verdict))
+    assert len(carried) == 657
+    assert sum(isinstance(verdict, NoAP) for _, verdict in carried) == 643 - 11 + 13
+    _memo.clear()
+    for members, verdict in carried:
+        fresh = ap_verdict(ChainClass.from_chains(members))
+        assert fresh is not verdict
+        assert verdict_record(fresh) == verdict_record(verdict)
+        if isinstance(fresh, NoAP):
+            assert fresh.refutation == verdict.refutation
+            w, v = fresh.witness, verdict.witness
+            assert (w.i_B.image, w.i_C.image) == (v.i_B.image, v.i_C.image)
 
 
 def test_classify_does_not_walk_a_closure_that_hs_closure_built(monkeypatch, closures):
