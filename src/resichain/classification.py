@@ -366,15 +366,17 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
             # chains already in the pool stay; g stands for its own signature
             # even when the memo holds an equal copy that validate did not intern
             pool = {**_closure_of(g), **pool, key: g}
-    # one chain per signature already, so sorting gives K's members
+    # one chain per signature already, so sorting gives K's members, and
+    # K skips __post_init__, which would sort them again
     members = tuple(sorted(pool.values(), key=attrgetter("signature")))
     variants = _CLOSED.get(members, ())
     for earlier in variants:
         if all(map(is_, earlier.members, members)):
             _CLOSED.hits += 1
             return earlier
-    K = ChainClass(members=members)
-    object.__setattr__(K, "_closed", bool(members))
+    K = object.__new__(ChainClass)
+    for name, value in (("members", members), ("_closed", bool(members)), ("_verdict", None)):
+        object.__setattr__(K, name, value)
     _CLOSED.put(members, variants + (K,))
     return K
 
@@ -436,35 +438,44 @@ def closure_rule_violations(K: ChainClass) -> tuple:
     """Audit of the seven closure consequences of amalgamability: every
     instance from _instances whose premises are in K and whose conclusion
     is not, one per rule and missing signature, sorted by rule in
-    _RULE_TEXT's order, then by the missing signature. When members of K
-    give the same conclusion, the first in K.signatures() order names the
-    premises. That is frozenset iteration order, which follows the
-    signatures' hash values, hash((pairs, p)): a different hash would
-    name other premises. Equal violations are one shared object."""
+    _RULE_TEXT's order, then by the missing signature. Membership is
+    tested on signature indexes, and only the partners in K are looked at.
+    When members of K give the same conclusion, the first in K.signatures()
+    order names the premises. That is frozenset iteration order, which
+    follows the signatures' hash values, hash((pairs, p)): a different hash
+    would name other premises. Within one member no rule and conclusion
+    arise under two partners, so the order of its partners does not
+    matter. Equal violations are one shared object."""
     sigs = K.signatures()
+    present = {sig.index for sig in sigs}
     found = {}
     for sig in sigs:
-        for other, key, violation in _instances(sig):
-            if (other is None or other in sigs) and violation.missing not in sigs:
-                found.setdefault(key, violation)
-    return tuple(found[key] for key in sorted(found))
+        by_partner = _instances(sig)
+        for partner in by_partner.keys() & present:
+            for missing, rank, violation in by_partner[partner]:
+                if missing not in present:
+                    found.setdefault(rank, violation)
+    return tuple(found[rank] for rank in sorted(found))
 
 
 @remembered
-def _instances(sig: DecompositionSignature) -> tuple:
+def _instances(sig: DecompositionSignature) -> dict:
     """Every rule instance whose first premise is sig and whose conclusion
     has at most _AUDIT_SIZE_CAP elements (measured by
-    DecompositionSignature.size), as (second premise or None, sort key,
-    the violation it reports when its conclusion is missing). The key, the
-    rule's place in _RULE_TEXT and then the missing signature's size, pairs
-    and tail, stands for one rule and missing signature. Only this function
-    reads the cap. A second premise is never larger than the conclusion,
-    so the partners are the components and tails up to the cap."""
-    n = _AUDIT_SIZE_CAP - 2
+    DecompositionSignature.size) and is not sig, keyed by the index of its
+    second premise, or of sig for an instance with none, as (the missing
+    signature's index, rank, the violation it reports when its conclusion
+    is missing). The rank, an int, orders as the rule's place in
+    _RULE_TEXT, then the missing signature's size and pairs (which fix its
+    tail), and stands for one rule and missing signature. Only this function reads
+    the cap. A second premise is never larger than the conclusion, so the
+    partners are the components and tails up to the cap."""
+    cap = _AUDIT_SIZE_CAP
+    n = cap - 2
     components = [DecompositionSignature(((r, s),), 0) for r in range(n) for s in range(n - r)]
-    tails = [DecompositionSignature((), q) for q in range(_AUDIT_SIZE_CAP)]
+    tails = [DecompositionSignature((), q) for q in range(cap)]
     # every stack height, side length and tail length that can still fit
-    lengths = range(_AUDIT_SIZE_CAP)
+    lengths = range(cap)
     candidates = []
     if sig.p == 2:
         candidates += [("i", None, sig.pairs, n) for n in lengths[1:]]
@@ -492,14 +503,22 @@ def _instances(sig: DecompositionSignature) -> tuple:
                 if other.pairs[0][0] == 0
             ]
     order = {rule: i for i, rule in enumerate(_RULE_TEXT)}
-    out = []
+    out = {}
     for rule, other, pairs, q in candidates:
         missing = DecompositionSignature(pairs, q)
-        if missing.size <= _AUDIT_SIZE_CAP:
+        if missing.size <= cap and missing is not sig:
+            # (place, size, pairs) in one int, the tail following from size
+            # and pairs: a pair is the digit 1 + r·cap + s, and each of the
+            # at most cap // 2 places a shorter pairs leaves is 0, so it
+            # sorts first
+            rank = order[rule] * (cap + 1) + missing.size
+            for i in range(cap // 2):
+                digit = 1 + pairs[i][0] * cap + pairs[i][1] if i < len(pairs) else 0
+                rank = rank * (cap * cap + 1) + digit
             premises = (sig,) if other is None else (sig, other)
-            key = (order[rule], missing.size, missing.pairs, missing.p)
-            out.append((other, key, RuleViolation(rule, tuple(p.text() for p in premises), missing)))
-    return tuple(out)
+            violation = RuleViolation(rule, tuple(p.text() for p in premises), missing)
+            out.setdefault((other or sig).index, []).append((missing.index, rank, violation))
+    return {partner: tuple(found) for partner, found in out.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -552,7 +571,11 @@ def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]
 
     Spans whose A is the one-element chain are skipped: B itself completes
     each of them, with j_B the identity and j_C mapping all of C to the
-    unit, so none of them is ever the witness."""
+    unit, so none of them is ever the witness. So are the spans whose B or
+    C is A (one member per signature, so B is A exactly when |B| = |A| and
+    A embeds in B): i_B is then the identity, a chain's only automorphism,
+    and C completes the span with j_B = i_C and j_C the identity; likewise
+    B completes it when C is A."""
     members = K.members
     completed = _completed_in(members)
     for A in members:
@@ -560,9 +583,11 @@ def find_refuting_span(K: ChainClass) -> Tuple[Optional[Span], Optional[Refuted]
             continue
         row = [embedding_images(A, y) for y in members]
         for B, legs_b in zip(members, row):
-            if not legs_b:
+            if B is A or not legs_b:
                 continue
             for C, legs_c in zip(members, row):
+                if C is A:
+                    continue
                 for i_b in legs_b:
                     for i_c in legs_c:
                         if not completed(B, i_b, C, i_c):

@@ -28,9 +28,11 @@ class DecompositionSignature:
     The hash is hash((pairs, p)) and, like size, is computed once. Set and
     frozenset iteration order over signatures follows these hash values,
     and so do the premises that closure_rule_violations reports; changing
-    the hash would change that output."""
+    the hash would change that output. index numbers the signatures in the
+    order this process first made them (0, 1, 2, ...); the audit keys its
+    rule instances on it. It takes no part in ==, hash or order."""
 
-    __slots__ = ("pairs", "p", "size", "_hash", "_text")
+    __slots__ = ("pairs", "p", "size", "index", "_hash", "_text")
 
     def __new__(cls, pairs: tuple, p: int):
         key = (pairs, p)
@@ -49,6 +51,7 @@ class DecompositionSignature:
         init(sig, "pairs", pairs)
         init(sig, "p", p)
         init(sig, "size", size)
+        init(sig, "index", len(_INTERNED))
         init(sig, "_hash", hash(key))
         init(sig, "_text", None)
         return _INTERNED.setdefault(key, sig)

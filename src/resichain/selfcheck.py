@@ -37,9 +37,17 @@ from .chain import (
     restrict_to,
     signature_hex,
 )
-from .classification import ChainClass, _closed_sets, _hs_images, classify, find_refuting_span
+from .classification import (
+    _AUDIT_SIZE_CAP,
+    ChainClass,
+    RuleViolation,
+    _closed_sets,
+    _hs_images,
+    classify,
+    find_refuting_span,
+)
 from .constructors import com, go
-from .decomposition import count_chains, decompose, recompose
+from .decomposition import DecompositionSignature, count_chains, decompose, recompose
 from .errors import ResichainError
 from .morphisms import (
     ChainMap,
@@ -321,8 +329,9 @@ def reference_find_refuting_span(K):
     """find_refuting_span's contract, searched the plain way: build every
     span over K with spans_over and give each a complete one-sided
     reference_find_amalgam search over K itself, so no answer comes from
-    the completion table the two library searches share. Only the tests
-    call it."""
+    the completion table the two library searches share. It skips no span,
+    not even those that find_refuting_span knows a member completes. Only
+    the tests call it."""
     members = list(K.members)
     bound = max(c.size for c in members)
     # every span scans the same pool, so it is filtered and sorted once
@@ -332,6 +341,52 @@ def reference_find_refuting_span(K):
         if isinstance(res, Refuted):
             return span, res
     return None, None
+
+
+def reference_closure_rule_violations(K):
+    """closure_rule_violations' contract, worked out the plain way from
+    its own statement of the seven rules: each member signature, in
+    K.signatures() order, lists the rule instances it is the first premise
+    of, with a member of K as the second premise where the rule takes one;
+    an instance whose conclusion has at most _AUDIT_SIZE_CAP elements and
+    is not a member is a violation, and the first member to report a rule
+    and conclusion names the premises. No index and no memo. Only the
+    tests call it."""
+    cap = _AUDIT_SIZE_CAP
+    rules = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+    sigs = K.signatures()
+    components = [o for o in sigs if len(o.pairs) == 1 and o.p == 0]
+    tails = [o for o in sigs if not o.pairs]
+    found = {}
+    for sig in sigs:
+        pairs, p = sig.pairs, sig.p
+        instances = []  # (rule, second premise or None, conclusion's pairs and tail)
+        if p == 2:
+            instances += [("i", None, pairs, q) for q in range(1, cap)]
+        if pairs[:2] == ((0, 0), (0, 0)):
+            instances += [("ii", None, ((0, 0),) * k + pairs[2:], p) for k in range(1, cap)]
+        if len(pairs) == 1 and p == 0:
+            ((r, s),) = pairs
+            if r == 2:
+                instances += [("iii", None, ((m, s),), 0) for m in range(cap)]
+                instances += [("iii", None, (), m) for m in range(cap)]
+            if s == 2:
+                instances += [("iv", None, ((r, n),), 0) for n in range(cap)]
+            if s == 0:
+                instances += [("v", o, ((r, o.pairs[0][1]),), 0) for o in components
+                              if o.pairs[0][0] == 0]
+        for i, pair in enumerate(pairs):
+            if pair == (0, 0):
+                instances += [("vi", o, pairs[:i] + o.pairs + pairs[i + 1 :], p) for o in components]
+        if p == 1:
+            instances += [("vii", o, pairs, o.p) for o in tails]
+        for rule, other, missing_pairs, q in instances:
+            missing = DecompositionSignature(missing_pairs, q)
+            if missing.size <= cap and missing not in sigs:
+                key = (rules.index(rule), missing.size, missing_pairs, q)
+                premises = (sig,) if other is None else (sig, other)
+                found.setdefault(key, RuleViolation(rule, tuple(x.text() for x in premises), missing))
+    return tuple(found[key] for key in sorted(found))
 
 
 def reference_hs_images(chain) -> tuple:

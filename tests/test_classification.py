@@ -49,6 +49,7 @@ from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import (
     _hs_closed_sets,
+    reference_closure_rule_violations,
     reference_find_amalgam,
     reference_find_refuting_span,
     reference_hs_closure,
@@ -391,6 +392,23 @@ def test_the_codomain_completes_every_span_out_of_the_trivial_chain():
             assert _completion(B, (B.unit,), C, (C.unit,), B, True) is not None
 
 
+def test_a_member_completes_every_span_with_a_leg_out_of_its_codomain():
+    # why find_refuting_span skips a span whose B or C is A: the plain
+    # search finds a one-sided completion among K's members for each
+    spans = 0
+    for K in small_closed_sets() + seeded_closures():
+        bound = max(c.size for c in K.members)
+        for span in spans_over(K.members):
+            if span.B is span.A or span.C is span.A:
+                got = reference_find_amalgam(
+                    span, lambda d: True, bound, one_sided=True, complete=True,
+                    candidates=K.members,
+                )
+                assert isinstance(got, AmalgamResult)
+                spans += 1
+    assert spans == 48730
+
+
 def test_span_search_does_not_depend_on_the_sets_searched_before(
     monkeypatch, small_sets_and_answers
 ):
@@ -550,6 +568,16 @@ def test_rule_audit_does_not_depend_on_the_sets_audited_before():
     assert warm == cold and again[::-1] == cold
 
 
+def test_rule_audit_matches_the_reference_audit():
+    # the indexed audit against a plain reading of the seven rules,
+    # premises included
+    sets = small_closed_sets() + seeded_closures()
+    sets += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in sets]
+    for K in sets:
+        got = [v.as_dict() for v in closure_rule_violations(K)]
+        assert got == [v.as_dict() for v in reference_closure_rule_violations(K)]
+
+
 # SHA-256 of the audits below, taken from the per-set audit that the
 # per-signature instance lists replaced: rule order, missing signatures,
 # premises and texts must all stay as they were
@@ -599,6 +627,21 @@ def test_verdict_refutes_the_capped_upper_side_class():
     assert any(v.rule == "iv" for v in verdict.audit)
     assert verdict.witness is not None
     assert isinstance(verdict.refutation, Refuted)
+
+
+# SHA-256 of the verdicts of the size-14 and size-16 generators below,
+# taken before the span search skipped the spans whose B or C is A
+LARGE_VERDICTS_DIGEST = "68d094aa94b50ed68c78cb6a92c895ee0bdebede94bc41dbb24a8400b5ab8bc1"
+
+
+def test_the_verdicts_of_two_large_closures_match_the_pinned_digest():
+    records = []
+    for tail, size in ((2, 159), (4, 265)):
+        K = hs_closure([nested_sum([com(0, 0), com(2, 2), com(1, 0), go(tail)])])
+        assert len(K.members) == size
+        records.append(verdict_record(ap_verdict(K)))
+    blob = json.dumps(records, ensure_ascii=False, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LARGE_VERDICTS_DIGEST
 
 
 # --- what a closure remembers --------------------------------------------
@@ -734,6 +777,13 @@ def generator_lists() -> list:
     return lists
 
 
+def test_hs_closure_builds_its_members_in_canonical_order():
+    # hs_closure sorts its members itself and does not sort them again
+    for K in seeded_closures():
+        rebuilt = ChainClass.from_chains(K.members).members
+        assert K.members == rebuilt and all(x is y for x, y in zip(K.members, rebuilt))
+
+
 def members_record(K) -> list:
     return [(canonical_signature(c), c.labels) for c in K.members]
 
@@ -814,10 +864,10 @@ def test_closure_verdicts_match_the_pinned_digest():
 
 def test_closure_verdicts_match_the_pinned_digest_while_every_memo_starts_over(monkeypatch):
     # every memo starts over together every 400 closures; then each starts
-    # over on its own at a limit of 256 entries, the completion table about
+    # over on its own at a limit of 160 entries, the completion table about
     # 40 times
     assert closure_verdicts_digest(clear_every=400) == VERDICT_DIGEST
-    monkeypatch.setattr(_memo, "LIMIT", 256)
+    monkeypatch.setattr(_memo, "LIMIT", 160)
     start = amalgamation._SPANS.restarts
     assert closure_verdicts_digest() == VERDICT_DIGEST
     assert amalgamation._SPANS.restarts - start > 20
