@@ -1,9 +1,12 @@
 """One memo policy: every process-wide memo is a Memo, which starts over
-once it holds LIMIT entries or on clear(), and counts its hits and misses.
+once it holds LIMIT entries or on clear(), and counts its restarts.
 remembered keys each chain argument on its labels too: label variants
-compare equal, but results carry their labels. chain._INTERNED and
-decomposition._INTERNED are not memos: they give chains and signatures
-their identity (DecompositionSignature's == is identity); nothing clears them."""
+compare equal, but results carry their labels. Three memos only make
+equal results one object (amalgamation._certificate, morphisms._shared,
+classification._witness); each stays for the memory it saves, measured
+where it is defined. chain._INTERNED and decomposition._INTERNED are not
+memos: they give chains and signatures their identity
+(DecompositionSignature's == is identity); nothing clears them."""
 
 from functools import partial, update_wrapper
 
@@ -12,13 +15,14 @@ _MEMOS: list = []
 
 
 class Memo(dict):
-    """Read with get(), adding 1 to hits on a hit; put() stores a miss.
-    The parts start over with the memo, and only with it."""
+    """A dict with parts: read it with get(), store with put(). The parts
+    start over with the memo, and only with it; restarts counts how often
+    they did, so find_amalgam can tell that a CandidatePool's bits are stale."""
 
-    __slots__ = ("tables", "hits", "misses", "restarts")
+    __slots__ = ("tables", "restarts")
 
     def __init__(self, *parts: dict):
-        self.tables, self.hits, self.misses, self.restarts = (self, *parts), 0, 0, 0
+        self.tables, self.restarts = (self, *parts), 0
         _MEMOS.append(self)
 
     def make_room(self) -> None:
@@ -26,7 +30,6 @@ class Memo(dict):
             self.clear()
 
     def put(self, key, value):
-        self.misses += 1
         self.make_room()
         self[key] = value
         return value
@@ -50,7 +53,6 @@ def remembered(fn=None, *, chains: int = 0):
         value = memo.get(key, memo)
         if value is memo:
             return memo.put(key, fn(*args))
-        memo.hits += 1
         return value
 
     call.memo = memo

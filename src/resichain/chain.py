@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidChainError, SizeTooLarge, Violation
@@ -421,7 +422,7 @@ def canonical_signature(chain: FiniteChain) -> bytes:
 
 
 def signature_hex(chain: FiniteChain) -> str:
-    return canonical_signature(chain).hex()
+    return chain.signature.hex()
 
 
 def iso_equal(a: FiniteChain, b: FiniteChain) -> bool:
@@ -454,7 +455,7 @@ def enumerate_chains(n: int, filters: Iterable[str] = ()):
     # the search itself keeps only commutative or idempotent tables when asked
     rest = filters - {"commutative", "idempotent"}
     results = [c for c in results if all(getattr(predicates(c), f) for f in rest)]
-    results.sort(key=canonical_signature)
+    results.sort(key=attrgetter("signature"))
     return results
 
 

@@ -29,7 +29,6 @@ from .chain import (
     RIGHT,
     STAR,
     FiniteChain,
-    canonical_signature,
     derived,
     enumerate_chains,
     iso_equal,
@@ -292,12 +291,12 @@ def _reference_pool(candidates, class_membership, size_bound) -> list:
     for d in candidates:
         if d.size > size_bound or not class_membership(d):
             continue
-        key = canonical_signature(d)
+        key = d.signature
         if key in seen:
             continue
         seen.add(key)
         filtered.append(d)
-    filtered.sort(key=lambda d: (d.size, canonical_signature(d)))
+    filtered.sort(key=lambda d: (d.size, d.signature))
     return filtered
 
 
@@ -428,7 +427,7 @@ def reference_hs_closure(generators):
     work = list(generators)
     while work:
         c = work.pop()
-        key = canonical_signature(c)
+        key = c.signature
         if key in pool:
             continue
         pool[key] = c
@@ -627,12 +626,12 @@ def _hs_closed_sets(chains: list):
     in size order and holds the HS-images of each: the unions of reaches
     that _closed_sets lists. A chain's reach is itself and its images'
     reaches, known by its turn, since its other images are smaller."""
-    index = {canonical_signature(c): i for i, c in enumerate(chains)}
+    index = {c.signature: i for i, c in enumerate(chains)}
     reach = []
     for i, c in enumerate(chains):
         reach.append(1 << i)
         for d in _hs_images(c):
-            reach[i] |= reach[index[canonical_signature(d)]]
+            reach[i] |= reach[index[d.signature]]
     # one lookup per eight chains turns a set's mask into its list
     blocks = [[[c for k, c in enumerate(chains[b : b + 8]) if v >> k & 1] for v in range(256)]
               for b in range(0, len(chains), 8)]

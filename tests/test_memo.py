@@ -1,11 +1,17 @@
-"""The memo layer: one size limit, counts, clear(), and the label rule."""
+"""The memo layer: one size limit, a restart count, clear(), the label
+rule, which memos there are, and the shared records that save memory."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import resichain
 from resichain import _memo, amalgamation, classification, morphisms
-from resichain.amalgamation import _construct
+from resichain.amalgamation import AmalgamResult, Span, _construct, find_amalgam
 from resichain.chain import FiniteChain, validate
 from resichain.constructors import com, go
+from resichain.morphisms import ChainMap
 
 
 def relabeled(chain, tag):
@@ -72,5 +78,42 @@ def test_a_full_memo_starts_over_and_keeps_its_counts(monkeypatch):
     for key in range(7):
         assert memo.put(key, -key) == -key
         assert len(memo) <= 3
-    assert (memo.misses, memo.restarts, dict(memo)) == (7, 2, {6: -6})
+    assert (memo.restarts, dict(memo)) == (2, {6: -6})
     _memo._MEMOS.remove(memo)
+
+
+def test_every_memo_has_a_module_level_name():
+    modules = [importlib.import_module(f"resichain.{m.name}") for m in pkgutil.iter_modules(resichain.__path__)]
+    named = set()
+    for module in modules:
+        for value in vars(module).values():
+            memo = value if isinstance(value, _memo.Memo) else getattr(value, "memo", None)
+            if isinstance(memo, _memo.Memo):
+                named.add(id(memo))
+    assert {id(memo) for memo in _memo._MEMOS} == named
+    assert len(_memo._MEMOS) == 18
+
+
+def test_equal_results_that_cost_memory_are_one_object():
+    # _certificate, morphisms._shared and _witness are kept for the memory
+    # this sharing saves; each check fails without its memo
+    _memo.clear()
+
+    def span():
+        return Span(A, B, C, ChainMap(A, B, I_B), ChainMap(A, C, I_C))
+
+    pool = [CERTIFICATE.D]
+    first = find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool)
+    assert isinstance(first, AmalgamResult) and first.D is CERTIFICATE.D
+    assert find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool) is first
+
+    a, b = com(0, 0), com(1, 1)
+    embeddings = morphisms.embedding_images(a, b)
+    homomorphisms = {image: image for image in morphisms.homomorphism_images(a, b)}
+    assert embeddings and all(homomorphisms[image] is image for image in embeddings)
+
+    # two closures, of 4 and 8 members, refuted by the same span
+    small, large = classification.hs_closure([com(0, 2)]), classification.hs_closure([com(1, 2)])
+    assert len(small.members) < len(large.members)
+    witness, _ = classification.find_refuting_span(small)
+    assert witness is not None and classification.find_refuting_span(large)[0] is witness
