@@ -1,12 +1,13 @@
 """One memo policy: every process-wide memo is a Memo, which starts over
-once it holds LIMIT entries or on clear(), and counts its restarts.
-remembered keys each chain argument on its labels too: label variants
-compare equal, but results carry their labels. Three memos only make
-equal results one object (amalgamation._certificate, morphisms._shared,
-classification._witness); each stays for the memory it saves, measured
-where it is defined. chain._INTERNED and decomposition._INTERNED are not
-memos: they give chains and signatures their identity
-(DecompositionSignature's == is identity); nothing clears them."""
+once it holds LIMIT entries or on clear(). remembered keys each chain
+argument on its labels too: label variants compare equal, but results
+carry their labels. Three memos only make equal results one object
+(amalgamation._certificate, morphisms._shared, classification._witness);
+each stays for the memory it saves, measured where it is defined.
+chain._INTERNED, decomposition._INTERNED and amalgamation._BITS are not
+memos: the first two give chains and signatures their identity
+(DecompositionSignature's == is identity), the third numbers signatures
+for the completion masks; nothing clears them."""
 
 from functools import partial, update_wrapper
 
@@ -15,29 +16,19 @@ _MEMOS: list = []
 
 
 class Memo(dict):
-    """A dict with parts: read it with get(), store with put(). The parts
-    start over with the memo, and only with it; restarts counts how often
-    they did, so find_amalgam can tell that a CandidatePool's bits are stale."""
+    """A dict: read it with get(), store with put(), which starts it over
+    first once it holds LIMIT entries."""
 
-    __slots__ = ("tables", "restarts")
+    __slots__ = ()
 
-    def __init__(self, *parts: dict):
-        self.tables, self.restarts = (self, *parts), 0
+    def __init__(self):
         _MEMOS.append(self)
 
-    def make_room(self) -> None:
-        if max(map(len, self.tables)) >= LIMIT:
-            self.clear()
-
     def put(self, key, value):
-        self.make_room()
+        if len(self) >= LIMIT:
+            self.clear()
         self[key] = value
         return value
-
-    def clear(self) -> None:
-        for table in self.tables:
-            dict.clear(table)
-        self.restarts += 1
 
 
 def remembered(fn=None, *, chains: int = 0):

@@ -8,7 +8,8 @@ decided for a span in a table that classification's span search shares;
 amalgamate_components instead builds the completion directly for spans
 of Gödel chains or of two-sided chains by zipping the two element lists
 around the images of the common chain. Certificates, constructions and
-the table are _memo memos, and the table starts over only between searches.
+the table's three parts are _memo memos, each starting over on its own;
+the numbering of chains that the table's masks read lasts for the process.
 """
 
 from __future__ import annotations
@@ -155,14 +156,12 @@ class CandidatePool(list):
     find_amalgam reads that order instead of deriving it on every call, so
     build the pool once its list is final (any other iterable is wrapped
     in a new pool on every call). The first search also gives the pool the
-    bits of its chains in the completion table; they hold until the table
-    starts over."""
+    bits of its chains in the completion table's masks."""
 
     def __init__(self, chains: Iterable[FiniteChain] = ()):
         super().__init__(chains)
         self.canonical = canonical_order(self)
         self._bits = None
-        self._generation = None
 
 
 def canonical_order(chains: Iterable[FiniteChain]) -> list:
@@ -195,22 +194,21 @@ def _certificate(B, C, D, jb: tuple, jc: tuple, one_sided: bool) -> AmalgamResul
 # Whether D completes a span depends only on the signatures of B, C and D,
 # the two leg images and one_sided. Both span searches, find_amalgam and
 # classification.find_refuting_span, read each answer from this table and
-# write it there, as a bit of D in a mask. The table is the memo _SPANS and
-# three parts, which start over together and only in _SPANS.make_room(),
-# called before a search reads a bit: masks are read through _BITS, so none
-# may outlive the bits it was built from. A CandidatePool's bits hold until
-# the next restart.
+# write it there, as a bit of D in a mask. The table is three memos, each
+# starting over on its own. A bit only names a signature, and the numbering
+# lasts for the process, like chain._INTERNED, so no mask or pool's bits
+# goes stale; a yes bit whose legs are gone sends D through _decide again.
 # D.signature -> its bit in the masks
 _BITS: dict = {}
 # B.signature -> mask of the D's that B does not embed in, which complete no
 # span out of B
-_NON_HOSTS: dict = {}
+_NON_HOSTS = Memo()
 # (span key, D.signature) -> _completion's (j_B, j_C) images for a D known to
 # complete the span
-_LEGS: dict = {}
+_LEGS = Memo()
 # (B.signature, i_B image, C.signature, i_C image, one_sided) -> [mask of
 # the D's known to complete the span, mask of the D's known not to]
-_SPANS = Memo(_BITS, _NON_HOSTS, _LEGS)
+_SPANS = Memo()
 
 
 def _bits(chains: Iterable[FiniteChain]) -> list:
@@ -223,9 +221,9 @@ def _decide(key: tuple, entry: list, B, i_b: tuple, C, i_c: tuple, D, bit: int, 
     legs = _completion(B, i_b, C, i_c, D, one_sided)
     if legs is not None:
         entry[0] |= bit
-        _LEGS[key, D.signature] = legs
+        _LEGS.put((key, D.signature), legs)
     elif D.size < B.size or not embedding_images(B, D):
-        _NON_HOSTS[B.signature] = _NON_HOSTS.get(B.signature, 0) | bit
+        _NON_HOSTS.put(B.signature, _NON_HOSTS.get(B.signature, 0) | bit)
     else:
         entry[1] |= bit
     return legs
@@ -236,17 +234,15 @@ def _completed_in(members: Sequence[FiniteChain]) -> Callable[..., bool]:
     completes the span with leg images i_b and i_c one-sidedly. members
     hold one chain per signature. A span with a known completion among
     them is answered from its masks; otherwise only the members not yet
-    decided go through _completion. Use the test before the next search
-    starts, since a restart of the table renumbers the bits."""
-    _SPANS.make_room()
+    decided go through _completion."""
     bits = _bits(members)
     in_members = sum(bits)
 
     def completed(B, i_b: tuple, C, i_c: tuple) -> bool:
         key = (B.signature, i_b, C.signature, i_c, True)
         entry = _SPANS.get(key)
-        if entry is None:  # not put(), which could start the table over mid-search
-            entry = _SPANS[key] = [0, 0]
+        if entry is None:
+            entry = _SPANS.put(key, [0, 0])
         elif entry[0] & in_members:
             return True
         skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
@@ -302,8 +298,8 @@ def find_amalgam(
     the algebra only, is asked about each candidate as it is reached. The
     completion table then answers for the candidate when it can: a known
     "no" is skipped, and a known "yes" gives back the legs _completion
-    found. Only a candidate the table has not decided for this span goes
-    through _completion, and its answer is remembered for the process.
+    found while _LEGS still holds them. Any other candidate goes through
+    _completion, and its answer goes into the table.
     """
     B, C = span.B, span.C
     if size_bound < max(B.size, C.size):
@@ -311,12 +307,11 @@ def find_amalgam(
     pool = _default_candidates(size_bound) if candidates is None else candidates
     if not isinstance(pool, CandidatePool):
         pool = CandidatePool(pool)
-    _SPANS.make_room()
     i_b, i_c = span.i_B.image, span.i_C.image
     key = (B.signature, i_b, C.signature, i_c, one_sided)
     entry = _SPANS.get(key) or _SPANS.put(key, [0, 0])
-    if pool._generation != _SPANS.restarts:
-        pool._bits, pool._generation = _bits(pool.canonical), _SPANS.restarts
+    if pool._bits is None:
+        pool._bits = _bits(pool.canonical)
     yes = entry[0]
     skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
     checked = 0
@@ -328,12 +323,10 @@ def find_amalgam(
         checked += 1
         if skip & bit:
             continue
-        if yes & bit:
-            legs = _LEGS[key, d.signature]
-        else:
-            legs = _decide(key, entry, B, i_b, C, i_c, d, bit, one_sided)
-            if legs is None:
-                continue
+        legs = yes & bit and _LEGS.get((key, d.signature)) or _decide(
+            key, entry, B, i_b, C, i_c, d, bit, one_sided)
+        if legs is None:
+            continue
         return _certificate(B, C, d, *legs, one_sided)
     if complete:
         return Refuted(checked=checked)

@@ -27,7 +27,7 @@ from .chain import (
 )
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
-from .morphisms import ChainMap, congruences, embedding_images, quotient
+from .morphisms import ChainMap, _quotients, embedding_images
 from .amalgamation import CandidatePool, Refuted, Span, _completed_in, canonical_order
 
 OMEGA = float("inf")
@@ -314,7 +314,7 @@ def _hs_images(chain: FiniteChain) -> tuple:
 
     subuniverses = sorted(_closed_sets(chain.size, close, close(0, chain.unit)))
     images = [restrict_to(chain, members(m)) for m in subuniverses]
-    images.extend(quotient(chain, cong)[0] for cong in congruences(chain))
+    images.extend(q for q, _ in _quotients(chain))
     return tuple(images)
 
 

@@ -564,38 +564,47 @@ def test_criterion_2_certificates_match_the_pinned_digest():
     assert criterion_2_digest(sample, pools, clear_every=100) == CRITERION_2_SAMPLE_DIGEST
 
 
-def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts_over():
+@pytest.mark.parametrize(
+    "memo, clear_every",
+    [(amalgamation._components.memo, 100), (amalgamation._LEGS, 7), (amalgamation._NON_HOSTS, 7)],
+    ids=["_components", "_LEGS", "_NON_HOSTS"],
+)
+def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts_over(memo, clear_every):
+    # with _LEGS cleared alone, find_amalgam meets yes bits whose legs are
+    # gone and must work them out again
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
-    clear = amalgamation._components.memo.clear
-    assert criterion_2_digest(sample, pools, 100, clear) == CRITERION_2_SAMPLE_DIGEST
+    assert criterion_2_digest(sample, pools, clear_every, memo.clear) == CRITERION_2_SAMPLE_DIGEST
 
 
-def test_criterion_2_certificates_match_the_pinned_digest_while_the_table_starts_over(monkeypatch):
-    # both runs reuse pools that hold bits from a generation before the
-    # restart, so each pool must notice and take new bits
+def test_criterion_2_certificates_match_the_pinned_digest_while_the_table_starts_over(
+    monkeypatch, memo_restarts
+):
+    # both runs reuse pools numbered before the restarts, whose bits still
+    # name the same chains
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
     table = amalgamation._SPANS
-    start = table.restarts
     assert criterion_2_digest(sample, pools, 100, table.clear) == CRITERION_2_SAMPLE_DIGEST
-    assert table.restarts - start == 21
-    # a limit below the widest pool's 2,048 chains: the table fills and
-    # starts over on its own, between the searches of other pools
-    monkeypatch.setattr(_memo, "LIMIT", 1500)
-    start = table.restarts
+    assert memo_restarts(table) == 21
+    # at a limit of 16 entries the table fills and starts over on its own,
+    # also in the middle of a search
+    monkeypatch.setattr(_memo, "LIMIT", 16)
+    start = memo_restarts(table)
     assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
-    assert table.restarts - start > 100
+    assert memo_restarts(table) - start > 100
 
 
-def test_criterion_2_certificates_match_the_pinned_digest_while_every_memo_starts_over(monkeypatch):
+def test_criterion_2_certificates_match_the_pinned_digest_while_every_memo_starts_over(
+    monkeypatch, memo_restarts
+):
     # every memo starts over together every 37 spans; then each starts over
-    # on its own at a limit of 64 entries, and with it the completion table
-    # while pools hold bits from before
+    # on its own at a limit of 16 entries, the three parts of the completion
+    # table among them, while pools hold bits from before
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
     assert criterion_2_digest(sample, pools, 37, _memo.clear) == CRITERION_2_SAMPLE_DIGEST
-    monkeypatch.setattr(_memo, "LIMIT", 64)
-    start = amalgamation._SPANS.restarts
+    monkeypatch.setattr(_memo, "LIMIT", 16)
+    start = memo_restarts(amalgamation._SPANS)
     assert criterion_2_digest(sample, pools) == CRITERION_2_SAMPLE_DIGEST
-    assert amalgamation._SPANS.restarts - start > 100
+    assert memo_restarts(amalgamation._SPANS) - start > 100

@@ -427,6 +427,11 @@ def test_span_search_does_not_depend_on_the_sets_searched_before(
             assert got == [want[i] for i in order]
 
 
+def clear_completion_table():
+    for memo in (amalgamation._SPANS, amalgamation._LEGS, amalgamation._NON_HOSTS):
+        memo.clear()
+
+
 def test_both_span_searches_share_one_completion_table():
     # find_refuting_span and the one-sided find_amalgam read and write the
     # same table. In either order, the second search reads what the first
@@ -441,7 +446,7 @@ def test_both_span_searches_share_one_completion_table():
         bound = max(c.size for c in K.members)
         pool = CandidatePool(K.members)
         for refuting_first in (True, False):
-            amalgamation._SPANS.clear()
+            clear_completion_table()
             if refuting_first:
                 assert refutation(find_refuting_span(K)) == want
             for i, span in enumerate(picked):
@@ -672,7 +677,7 @@ def test_a_closure_remembers_its_verdict(closures):
     for K in closures:
         # the completion table starts over before every search, and
         # from_chains builds a K that remembers nothing
-        amalgamation._SPANS.clear()
+        clear_completion_table()
         cold.append(verdict_record(ap_verdict(ChainClass.from_chains(K.members))))
     warm = [ap_verdict(K) for K in closures]
     assert all(ap_verdict(K) is verdict for K, verdict in zip(closures, warm))
@@ -790,19 +795,19 @@ def members_record(K) -> list:
     return [(canonical_signature(c), c.labels) for c in K.members]
 
 
-def test_hs_closure_keeps_the_chains_that_the_walk_keeps():
+def test_hs_closure_keeps_the_chains_that_the_walk_keeps(memo_restarts):
     # a closure is merged from one remembered closure per generator; each
     # signature must keep the very chain that the plain walk keeps
     classification._closure_of.memo.clear()
     classification._hs_images.memo.clear()
-    restarts = classification._hs_images.memo.restarts
+    restarts = memo_restarts(classification._hs_images.memo)
     lists = generator_lists()
     assert len(lists) == 2 * 643 + 25 + 2 * 40
     for generators in lists:
         got, want = hs_closure(generators).members, reference_hs_closure(generators).members
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
     # no image was evicted, so both sides met the same image objects
-    assert classification._hs_images.memo.restarts == restarts
+    assert memo_restarts(classification._hs_images.memo) == restarts
 
 
 def test_hs_step_lists_the_reference_images_of_every_small_chain():
@@ -864,12 +869,14 @@ def test_closure_verdicts_match_the_pinned_digest():
     assert closure_verdicts_digest() == VERDICT_DIGEST
 
 
-def test_closure_verdicts_match_the_pinned_digest_while_every_memo_starts_over(monkeypatch):
+def test_closure_verdicts_match_the_pinned_digest_while_every_memo_starts_over(
+    monkeypatch, memo_restarts
+):
     # every memo starts over together every 400 closures; then each starts
-    # over on its own at a limit of 160 entries, the completion table about
-    # 40 times
+    # over on its own at a limit of 160 entries, the completion table's
+    # spans about 40 times
     assert closure_verdicts_digest(clear_every=400) == VERDICT_DIGEST
     monkeypatch.setattr(_memo, "LIMIT", 160)
-    start = amalgamation._SPANS.restarts
+    start = memo_restarts(amalgamation._SPANS)
     assert closure_verdicts_digest() == VERDICT_DIGEST
-    assert amalgamation._SPANS.restarts - start > 20
+    assert memo_restarts(amalgamation._SPANS) - start > 20

@@ -1,5 +1,6 @@
-"""The memo layer: one size limit, a restart count, clear(), the label
-rule, which memos there are, and the shared records that save memory."""
+"""The memo layer: one size limit, clear() and the chain numbering it
+leaves alone, the label rule, which memos there are, and the shared
+records that save memory."""
 
 import importlib
 import pkgutil
@@ -8,7 +9,7 @@ import pytest
 
 import resichain
 from resichain import _memo, amalgamation, classification, morphisms
-from resichain.amalgamation import AmalgamResult, Span, _construct, find_amalgam
+from resichain.amalgamation import AmalgamResult, CandidatePool, Span, _construct, find_amalgam
 from resichain.chain import FiniteChain, validate
 from resichain.constructors import com, go
 from resichain.morphisms import ChainMap
@@ -62,24 +63,33 @@ def test_a_label_variant_gets_its_own_entry_and_its_own_labels(name):
     assert any(label and label[0].startswith("v") for label in labels)
 
 
+def span():
+    return Span(A, B, C, ChainMap(A, B, I_B), ChainMap(A, C, I_C))
+
+
 def test_clear_starts_every_memo_and_the_completion_table_over():
     classification.ap_verdict(classification.hs_closure([com(0, 2)]))
-    assert amalgamation._BITS and amalgamation._LEGS
-    restarts = amalgamation._SPANS.restarts
+    pool = CandidatePool([CERTIFICATE.D])
+    assert find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool) == CERTIFICATE
+    assert amalgamation._LEGS and amalgamation._SPANS
+    bits = dict(amalgamation._BITS)
+    assert CERTIFICATE.D.signature in bits
     _memo.clear()
-    assert not any(table for memo in _memo._MEMOS for table in memo.tables)
-    # so every pool's bits are stale
-    assert amalgamation._SPANS.restarts == restarts + 1
+    assert not any(_memo._MEMOS)
+    assert amalgamation._BITS == bits
+    # the pool keeps the bits it took before the clear
+    assert find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool) == CERTIFICATE
 
 
-def test_a_full_memo_starts_over_and_keeps_its_counts(monkeypatch):
+def test_a_full_memo_starts_over_and_keeps_its_counts(monkeypatch, memo_restarts):
     monkeypatch.setattr(_memo, "LIMIT", 3)
+    # a memo of its own, so a failing check leaves no stray memo behind
+    monkeypatch.setattr(_memo, "_MEMOS", [])
     memo = _memo.Memo()
     for key in range(7):
         assert memo.put(key, -key) == -key
         assert len(memo) <= 3
-    assert (memo.restarts, dict(memo)) == (2, {6: -6})
-    _memo._MEMOS.remove(memo)
+    assert (memo_restarts(memo), dict(memo)) == (2, {6: -6})
 
 
 def test_every_memo_has_a_module_level_name():
@@ -91,17 +101,13 @@ def test_every_memo_has_a_module_level_name():
             if isinstance(memo, _memo.Memo):
                 named.add(id(memo))
     assert {id(memo) for memo in _memo._MEMOS} == named
-    assert len(_memo._MEMOS) == 18
+    assert len(_memo._MEMOS) == 20
 
 
 def test_equal_results_that_cost_memory_are_one_object():
     # _certificate, morphisms._shared and _witness are kept for the memory
     # this sharing saves; each check fails without its memo
     _memo.clear()
-
-    def span():
-        return Span(A, B, C, ChainMap(A, B, I_B), ChainMap(A, C, I_C))
-
     pool = [CERTIFICATE.D]
     first = find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool)
     assert isinstance(first, AmalgamResult) and first.D is CERTIFICATE.D
