@@ -4,10 +4,9 @@ argument on its labels too: label variants compare equal, but results
 carry their labels. Three memos only make equal results one object
 (amalgamation._certificate, morphisms._shared, classification._witness);
 each stays for the memory it saves, measured where it is defined.
-chain._INTERNED, decomposition._INTERNED and amalgamation._BITS are not
-memos: the first two give chains and signatures their identity
-(DecompositionSignature's == is identity), the third numbers signatures
-for the completion masks; nothing clears them."""
+chain._INTERNED and decomposition._INTERNED are not memos: they give
+chains and signatures their identity (DecompositionSignature's == is
+identity), and nothing clears them."""
 
 from functools import partial, update_wrapper
 

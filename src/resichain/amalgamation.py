@@ -8,8 +8,7 @@ decided for a span in a table that classification's span search shares;
 amalgamate_components instead builds the completion directly for spans
 of Gödel chains or of two-sided chains by zipping the two element lists
 around the images of the common chain. Certificates, constructions and
-the table's three parts are _memo memos, each starting over on its own;
-the numbering of chains that the table's masks read lasts for the process.
+the table's two parts are _memo memos, each starting over on its own.
 """
 
 from __future__ import annotations
@@ -155,13 +154,11 @@ class CandidatePool(list):
     chain per signature (the first listed), sorted by size and signature.
     find_amalgam reads that order instead of deriving it on every call, so
     build the pool once its list is final (any other iterable is wrapped
-    in a new pool on every call). The first search also gives the pool the
-    bits of its chains in the completion table's masks."""
+    in a new pool on every call)."""
 
     def __init__(self, chains: Iterable[FiniteChain] = ()):
         super().__init__(chains)
         self.canonical = canonical_order(self)
-        self._bits = None
 
 
 def canonical_order(chains: Iterable[FiniteChain]) -> list:
@@ -194,38 +191,31 @@ def _certificate(B, C, D, jb: tuple, jc: tuple, one_sided: bool) -> AmalgamResul
 # Whether D completes a span depends only on the signatures of B, C and D,
 # the two leg images and one_sided. Both span searches, find_amalgam and
 # classification.find_refuting_span, read each answer from this table and
-# write it there, as a bit of D in a mask. The table is three memos, each
-# starting over on its own. A bit only names a signature, and the numbering
-# lasts for the process, like chain._INTERNED, so no mask or pool's bits
-# goes stale; a yes bit whose legs are gone sends D through _decide again.
-# D.signature -> its bit in the masks
-_BITS: dict = {}
-# B.signature -> mask of the D's that B does not embed in, which complete no
-# span out of B
+# write it there, under D's signature. The table is two memos, each starting
+# over on its own.
+# B.signature -> set of the signatures of the D's that B does not embed in,
+# which complete no span out of B. Kept apart from the spans' answers: with
+# these folded into each span's answers, the sweep bench's op_ms_p90 rose
+# from 0.0233 to 0.0292 ms, its peak RSS from 70.4 to 78.1 MB, and its
+# ops_per_s fell by 6% (seed 101, medians of 6 pairs, 2-core machine)
 _NON_HOSTS = Memo()
-# (span key, D.signature) -> _completion's (j_B, j_C) images for a D known to
-# complete the span
-_LEGS = Memo()
-# (B.signature, i_B image, C.signature, i_C image, one_sided) -> [mask of
-# the D's known to complete the span, mask of the D's known not to]
+# (B.signature, i_B image, C.signature, i_C image, one_sided) -> {D.signature:
+# _completion's (j_B, j_C) images, or None for a D that B embeds in but that
+# does not complete the span}
 _SPANS = Memo()
 
 
-def _bits(chains: Iterable[FiniteChain]) -> list:
-    return [_BITS.setdefault(d.signature, 1 << len(_BITS)) for d in chains]
-
-
-def _decide(key: tuple, entry: list, B, i_b: tuple, C, i_c: tuple, D, bit: int, one_sided: bool):
+def _decide(decided: dict, B, i_b: tuple, C, i_c: tuple, D, one_sided: bool):
     """_completion for a D that the table has not decided for the span
-    under key, whose masks are entry; the answer goes into the table."""
+    whose answers are decided; the answer goes into the table."""
     legs = _completion(B, i_b, C, i_c, D, one_sided)
-    if legs is not None:
-        entry[0] |= bit
-        _LEGS.put((key, D.signature), legs)
-    elif D.size < B.size or not embedding_images(B, D):
-        _NON_HOSTS.put(B.signature, _NON_HOSTS.get(B.signature, 0) | bit)
+    if legs is None and (D.size < B.size or not embedding_images(B, D)):
+        non_hosts = _NON_HOSTS.get(B.signature)
+        if non_hosts is None:
+            non_hosts = _NON_HOSTS.put(B.signature, set())
+        non_hosts.add(D.signature)
     else:
-        entry[1] |= bit
+        decided[D.signature] = legs
     return legs
 
 
@@ -233,21 +223,28 @@ def _completed_in(members: Sequence[FiniteChain]) -> Callable[..., bool]:
     """The test completed(B, i_b, C, i_c): whether some chain in members
     completes the span with leg images i_b and i_c one-sidedly. members
     hold one chain per signature. A span with a known completion among
-    them is answered from its masks; otherwise only the members not yet
+    them is answered from the table; otherwise only the members not yet
     decided go through _completion."""
-    bits = _bits(members)
-    in_members = sum(bits)
+    sigs = [d.signature for d in members]
+    member_sigs = set(sigs)
 
     def completed(B, i_b: tuple, C, i_c: tuple) -> bool:
         key = (B.signature, i_b, C.signature, i_c, True)
-        entry = _SPANS.get(key)
-        if entry is None:
-            entry = _SPANS.put(key, [0, 0])
-        elif entry[0] & in_members:
-            return True
-        skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
-        for d, bit in zip(members, bits):
-            if not skip & bit and _decide(key, entry, B, i_b, C, i_c, d, bit, True) is not None:
+        decided = _SPANS.get(key)
+        if decided is None:
+            decided = _SPANS.put(key, {})
+        # the span's answers, not the members, are scanned for a known
+        # completion: over lemma:ap-verdict's sets a span holds 3 answers
+        # on average and a set 21 members, and scanning the members instead
+        # made find_refuting_span about 20% slower (2-core machine)
+        for sig, legs in decided.items():
+            if legs is not None and sig in member_sigs:
+                return True
+        non_hosts = _NON_HOSTS.get(B.signature, ())
+        for d, sig in zip(members, sigs):
+            if sig in non_hosts or sig in decided:
+                continue
+            if _decide(decided, B, i_b, C, i_c, d, True) is not None:
                 return True
         return False
 
@@ -298,8 +295,8 @@ def find_amalgam(
     the algebra only, is asked about each candidate as it is reached. The
     completion table then answers for the candidate when it can: a known
     "no" is skipped, and a known "yes" gives back the legs _completion
-    found while _LEGS still holds them. Any other candidate goes through
-    _completion, and its answer goes into the table.
+    found. Any other candidate goes through _completion, and its answer
+    goes into the table.
     """
     B, C = span.B, span.C
     if size_bound < max(B.size, C.size):
@@ -309,25 +306,24 @@ def find_amalgam(
         pool = CandidatePool(pool)
     i_b, i_c = span.i_B.image, span.i_C.image
     key = (B.signature, i_b, C.signature, i_c, one_sided)
-    entry = _SPANS.get(key) or _SPANS.put(key, [0, 0])
-    if pool._bits is None:
-        pool._bits = _bits(pool.canonical)
-    yes = entry[0]
-    skip = entry[1] | _NON_HOSTS.get(B.signature, 0)
+    decided = _SPANS.get(key)
+    if decided is None:
+        decided = _SPANS.put(key, {})
+    non_hosts = _NON_HOSTS.get(B.signature, ())
     checked = 0
-    for d, bit in zip(pool.canonical, pool._bits):
+    for d in pool.canonical:
         if d.size > size_bound:
             break
         if not class_membership(d):
             continue
         checked += 1
-        if skip & bit:
+        if d.signature in non_hosts:
             continue
-        legs = yes & bit and _LEGS.get((key, d.signature)) or _decide(
-            key, entry, B, i_b, C, i_c, d, bit, one_sided)
-        if legs is None:
-            continue
-        return _certificate(B, C, d, *legs, one_sided)
+        legs = decided.get(d.signature, decided)
+        if legs is decided:
+            legs = _decide(decided, B, i_b, C, i_c, d, one_sided)
+        if legs is not None:
+            return _certificate(B, C, d, *legs, one_sided)
     if complete:
         return Refuted(checked=checked)
     return BoundExhausted(size_bound=size_bound)

@@ -153,6 +153,8 @@ def chain_from_json(data: dict) -> FiniteChain:
     if not isinstance(data, dict):
         raise TypeError(f"a chain is a JSON object, not {type(data).__name__}")
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise TypeError(f"labels must be a list, got {type(labels).__name__}")
     return validate(
         data["size"],
         data["unit"],
@@ -175,16 +177,20 @@ def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
     Valid chains are interned: equal data gives back the same object, and
     label variants of one table share its rows.
     """
-    if not isinstance(size, int) or not isinstance(unit, int):
+    # exactly int: 1.9, "0" and True would otherwise be read as integers
+    if type(size) is not int or type(unit) is not int:
         raise TypeError("size and unit must be integers")
     if size < 1:
         raise ValueError("size must be at least 1")
-    rows = tuple(tuple(int(v) for v in row) for row in mult)
+    rows = tuple(map(tuple, mult))
     if len(rows) != size or any(len(r) != size for r in rows):
         raise ValueError("mult must be a size x size table")
     for x in range(size):
         for y in range(size):
-            if not 0 <= rows[x][y] < size:
+            v = rows[x][y]
+            if type(v) is not int:
+                raise ValueError(f"table entry mult[{x}][{y}] must be an integer, got {v!r}")
+            if not 0 <= v < size:
                 raise ValueError(f"table entry mult[{x}][{y}] out of range")
     if labels is not None:
         labels = tuple(str(s) for s in labels)

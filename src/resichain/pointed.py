@@ -57,8 +57,11 @@ class PointedChain:
 def pointed_from_json(data: dict) -> PointedChain:
     if "f" not in data:
         raise ValueError("pointed chain needs an \"f\" entry")
+    f = data["f"]
+    if type(f) is not int:
+        raise ValueError(f"f must be an integer, got {f!r}")
     rest = {k: v for k, v in data.items() if k != "f"}
-    return PointedChain(base=chain_from_json(rest), f=int(data["f"]))
+    return PointedChain(base=chain_from_json(rest), f=f)
 
 
 def condition_of(A: PointedChain) -> str:

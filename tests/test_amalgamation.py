@@ -566,12 +566,12 @@ def test_criterion_2_certificates_match_the_pinned_digest():
 
 @pytest.mark.parametrize(
     "memo, clear_every",
-    [(amalgamation._components.memo, 100), (amalgamation._LEGS, 7), (amalgamation._NON_HOSTS, 7)],
-    ids=["_components", "_LEGS", "_NON_HOSTS"],
+    [(amalgamation._components.memo, 100), (amalgamation._NON_HOSTS, 7)],
+    ids=["_components", "_NON_HOSTS"],
 )
 def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts_over(memo, clear_every):
-    # with _LEGS cleared alone, find_amalgam meets yes bits whose legs are
-    # gone and must work them out again
+    # with _NON_HOSTS cleared alone, a span's answers outlive the non-hosts
+    # they skip, which go through _completion again
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
     assert criterion_2_digest(sample, pools, clear_every, memo.clear) == CRITERION_2_SAMPLE_DIGEST
@@ -580,8 +580,7 @@ def test_criterion_2_constructions_match_the_pinned_digest_while_the_memo_starts
 def test_criterion_2_certificates_match_the_pinned_digest_while_the_table_starts_over(
     monkeypatch, memo_restarts
 ):
-    # both runs reuse pools numbered before the restarts, whose bits still
-    # name the same chains
+    # both runs reuse pools built before the restarts
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
     table = amalgamation._SPANS
@@ -599,8 +598,8 @@ def test_criterion_2_certificates_match_the_pinned_digest_while_every_memo_start
     monkeypatch, memo_restarts
 ):
     # every memo starts over together every 37 spans; then each starts over
-    # on its own at a limit of 16 entries, the three parts of the completion
-    # table among them, while pools hold bits from before
+    # on its own at a limit of 16 entries, the two parts of the completion
+    # table among them, while the pools were built before
     sample = criterion_2_sample()
     pools = [class_members(cls, 12) for cls in all_sixty()]
     assert criterion_2_digest(sample, pools, 37, _memo.clear) == CRITERION_2_SAMPLE_DIGEST

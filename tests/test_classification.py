@@ -414,7 +414,7 @@ def test_a_member_completes_every_span_with_a_leg_out_of_its_codomain():
 def test_span_search_does_not_depend_on_the_sets_searched_before(
     monkeypatch, small_sets_and_answers
 ):
-    # span completions are remembered across calls as masks over chain
+    # span completions are remembered across calls under chain
     # signatures, so every set is asked in three orders, and again while
     # the shared tables keep starting over
     sets, want = small_sets_and_answers
@@ -428,7 +428,7 @@ def test_span_search_does_not_depend_on_the_sets_searched_before(
 
 
 def clear_completion_table():
-    for memo in (amalgamation._SPANS, amalgamation._LEGS, amalgamation._NON_HOSTS):
+    for memo in (amalgamation._SPANS, amalgamation._NON_HOSTS):
         memo.clear()
 
 

@@ -405,6 +405,39 @@ def test_amalgamate_rejects_legs_that_are_not_integers(capsys, tmp_path, bad):
     }
 
 
+def two_element_blob(**changes) -> dict:
+    blob = {"size": 2, "unit": 1, "mult": [[0, 0], [0, 1]], "f": 0}
+    blob.update(changes)
+    return blob
+
+
+@pytest.mark.parametrize(
+    "verb, blob, witness",
+    [
+        ("check", two_element_blob(mult=[[0, 0], [0, 1.9]]),
+         "table entry mult[1][1] must be an integer, got 1.9"),
+        ("check", two_element_blob(mult=[["0", 0], [0, 1]]),
+         "table entry mult[0][0] must be an integer, got '0'"),
+        ("check", two_element_blob(mult=[[0, 0], [0, True]]),
+         "table entry mult[1][1] must be an integer, got True"),
+        ("check", two_element_blob(size=True), "size and unit must be integers"),
+        ("check", two_element_blob(labels="ab"), "labels must be a list, got str"),
+        ("pcondition", two_element_blob(f=2.7), "f must be an integer, got 2.7"),
+        ("pcondition", two_element_blob(f="0"), "f must be an integer, got '0'"),
+    ],
+    ids=["float-entry", "string-entry", "bool-entry", "bool-size", "string-labels",
+         "float-f", "string-f"],
+)
+def test_chain_json_rejects_numbers_that_are_not_integers(capsys, tmp_path, verb, blob, witness):
+    # 1.9 used to be read as 1, "0" and True as 0 and 1, and "ab" as two labels
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(blob))
+    code, out = run(capsys, verb, str(path))
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {"error": "MalformedInput", "witness": witness}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

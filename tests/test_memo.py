@@ -1,6 +1,5 @@
-"""The memo layer: one size limit, clear() and the chain numbering it
-leaves alone, the label rule, which memos there are, and the shared
-records that save memory."""
+"""The memo layer: one size limit, clear(), the label rule, which memos
+there are, and the shared records that save memory."""
 
 import importlib
 import pkgutil
@@ -71,13 +70,10 @@ def test_clear_starts_every_memo_and_the_completion_table_over():
     classification.ap_verdict(classification.hs_closure([com(0, 2)]))
     pool = CandidatePool([CERTIFICATE.D])
     assert find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool) == CERTIFICATE
-    assert amalgamation._LEGS and amalgamation._SPANS
-    bits = dict(amalgamation._BITS)
-    assert CERTIFICATE.D.signature in bits
+    assert amalgamation._SPANS
     _memo.clear()
     assert not any(_memo._MEMOS)
-    assert amalgamation._BITS == bits
-    # the pool keeps the bits it took before the clear
+    # a pool built before the clear still finds the certificate
     assert find_amalgam(span(), lambda d: True, CERTIFICATE.D.size, candidates=pool) == CERTIFICATE
 
 
@@ -101,7 +97,7 @@ def test_every_memo_has_a_module_level_name():
             if isinstance(memo, _memo.Memo):
                 named.add(id(memo))
     assert {id(memo) for memo in _memo._MEMOS} == named
-    assert len(_memo._MEMOS) == 20
+    assert len(_memo._MEMOS) == 19
 
 
 def test_equal_results_that_cost_memory_are_one_object():
