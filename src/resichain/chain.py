@@ -11,11 +11,17 @@ A chain is compiled once. Its canonical signature and its hash are computed
 when it is built; its residual tables, unary tables and predicates on first
 use, and then kept on the chain (``FiniteChain.tables``), as is the
 decomposition signature of a commutative idempotent chain
-(``decomposition.decompose``). validate() interns
-chains on (size, unit, mult, labels): the same data returns the same object
-without checking it again, and a table already validated under other labels
-is not checked again either. Equality and hashing read the table only, so
-label variants of one table are equal and hash alike.
+(``decomposition.decompose``). Every chain is interned on (size, unit, mult,
+labels): the same data returns the same object, and label variants of one
+table share its rows. Equality and hashing read the table only, so label
+variants of one table are equal and hash alike.
+
+A table is checked once, where it enters. validate() checks outside input
+and runs the invariant check on a table not seen before; quotient() and the
+constructors go through it. The table search (_search) and restrict_to()
+build chains by construction and intern them directly (_intern): the search
+prunes on every invariant as it fills the table, and restrict_to() checks
+that its set is a subuniverse, and a subalgebra of a chain is a chain.
 """
 
 from __future__ import annotations
@@ -155,15 +161,17 @@ def chain_from_json(data: dict) -> FiniteChain:
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise TypeError(f"labels must be a list, got {type(labels).__name__}")
-    return validate(
-        data["size"],
-        data["unit"],
-        data["mult"],
-        labels=tuple(labels) if labels is not None else None,
-    )
+    chain = validate(data["size"], data["unit"], data["mult"], labels=labels)
+    # an element named by a repeated label could not be told apart; only here,
+    # since quotient()'s bracketed labels may repeat a label of the input
+    if labels is not None and len(set(chain.labels)) < chain.size:
+        names = chain.labels
+        repeated = next(s for i, s in enumerate(names) if s in names[:i])
+        raise ValueError(f"labels must be distinct, {repeated!r} repeats")
+    return chain
 
 
-# (size, unit, mult) of every validated table -> {labels: chain}
+# (size, unit, mult) of every chain's table -> {labels: chain}
 _INTERNED: dict = {}
 
 
@@ -174,8 +182,10 @@ def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
     Unit law and associativity report as NotAMonoid, order-preservation as
     NotMonotone, bottom-absorption as NotResiduated (it is exactly what
     residuation needs on top of the rest), a bad unit index as UnitOutOfRange.
-    Valid chains are interned: equal data gives back the same object, and
-    label variants of one table share its rows.
+    The shape of the table, its entries and the labels are checked on every
+    call (a label must be a str); the invariants only on a table not interned
+    before. Valid chains are interned: equal data gives back the same object,
+    and label variants of one table share its rows.
     """
     # exactly int: 1.9, "0" and True would otherwise be read as integers
     if type(size) is not int or type(unit) is not int:
@@ -193,13 +203,26 @@ def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
             if not 0 <= v < size:
                 raise ValueError(f"table entry mult[{x}][{y}] out of range")
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(labels)
         if len(labels) != size:
             raise ValueError("labels must match size")
+        for s in labels:
+            if not isinstance(s, str):
+                raise TypeError(f"labels must be strings, got {s!r}")
 
+    if (size, unit, rows) not in _INTERNED:
+        _check_invariants(size, unit, rows)
+    return _intern(size, unit, rows, labels)
+
+
+def _intern(size: int, unit: int, rows: tuple, labels: Optional[tuple]) -> FiniteChain:
+    """The one chain kept for this table and these labels.
+
+    rows is a tuple of tuples that is already known to be a chain's table:
+    nothing here checks it.
+    """
     variants = _INTERNED.get((size, unit, rows))
     if variants is None:
-        _check_invariants(size, unit, rows)
         variants = _INTERNED[(size, unit, rows)] = {}
     chain = variants.get(labels)
     if chain is None:
@@ -389,21 +412,32 @@ def subalgebra_generated(chain: FiniteChain, seed: Iterable[int]) -> frozenset:
 
 
 def restrict_to(chain: FiniteChain, subuniverse: Iterable[int]) -> FiniteChain:
-    """The subalgebra on a subuniverse, reindexed onto 0..k-1."""
+    """The subalgebra on a subuniverse, reindexed onto 0..k-1.
+
+    Raises ValueError when the set misses the unit or is not closed under
+    the product, and InvalidChainError with a NotResiduated violation
+    ("residual", x, y) when it is closed under the product but x\\y or y/x
+    lies outside it. A subalgebra of a chain is a chain, so its table is
+    interned without a check of its own.
+    """
     order = sorted(set(subuniverse))
     if chain.unit not in order:
         raise ValueError("subuniverse must contain the unit")
     pos = {x: i for i, x in enumerate(order)}
-    k = len(order)
-    table = [[0] * k for _ in range(k)]
-    for i, x in enumerate(order):
-        for j, y in enumerate(order):
-            v = chain.mult[x][y]
-            if v not in pos:
-                raise ValueError("not closed under multiplication")
-            table[i][j] = pos[v]
+    mult = chain.mult
+    try:
+        rows = tuple(tuple(pos[mult[x][y]] for y in order) for x in order)
+    except KeyError:
+        raise ValueError("not closed under multiplication") from None
+    if not is_subuniverse(chain, order):
+        lres, rres = chain.tables.lres, chain.tables.rres
+        x, y = next(
+            (x, y) for x in order for y in order
+            if lres[x][y] not in pos or rres[x][y] not in pos
+        )
+        raise InvalidChainError([Violation("NotResiduated", ("residual", x, y))])
     labels = tuple(chain.label(x) for x in order) if chain.labels is not None else None
-    return validate(k, pos[chain.unit], table, labels=labels)
+    return _intern(len(order), pos[chain.unit], rows, labels)
 
 
 def is_subuniverse(chain: FiniteChain, subset: Iterable[int]) -> bool:
@@ -478,8 +512,9 @@ def _search(n: int, unit: int, idempotent: bool, commutative: bool, results: lis
     reads the new cell and whose other entries are set, so each partial
     table associates wherever it is defined. A symmetric table associates on
     (a, b, c) exactly when it does on (c, b, a), so the triples that read a
-    mirrored cell need no check of their own. validate() checks each
-    complete table once more.
+    mirrored cell need no check of their own. Each complete table is then a
+    chain (the unit law and bottom absorption hold by the fixed rows and
+    columns), so it is interned without a check of its own.
     """
     t = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -542,7 +577,7 @@ def _search(n: int, unit: int, idempotent: bool, commutative: bool, results: lis
 
     def place(i: int) -> None:
         if i == len(steps):
-            results.append(validate(n, unit, t))
+            results.append(_intern(n, unit, tuple(map(tuple, t)), None))
             return
         x, y, ((a, b), (c, d)), hi, mirror = steps[i]
         low = max(t[a][b], t[c][d])

@@ -175,14 +175,32 @@ def brute_congruence_blocks(chain):
     return out
 
 
+def brute_is_chain(size, unit, rows) -> bool:
+    """Whether a raw table is a residuated chain: the unit law, an absorbing
+    bottom, monotone in each argument, and associative, each read from the
+    table by its definition; validate() is not called."""
+    n, t = size, rows
+    return (
+        all(t[unit][x] == x == t[x][unit] for x in range(n))
+        and all(t[0][x] == 0 == t[x][0] for x in range(n))
+        and all(
+            t[x][y] <= t[x][y + 1] and t[y][x] <= t[y + 1][x]
+            for x in range(n) for y in range(n - 1)
+        )
+        and all(
+            t[t[x][y]][z] == t[x][t[y][z]]
+            for x in range(n) for y in range(n) for z in range(n)
+        )
+    )
+
+
 def brute_chains(n, idempotent=False):
     """Every residuated chain of size n, by trying every table.
 
     The bottom absorbs, so it is the unit of the one-element chain only.
     For each other unit the unit and bottom rows and columns are fixed
     (with idempotent, the diagonal too) and every other cell takes every
-    value in 0..n-1. A table is kept when it is monotone in each argument
-    and associative, read from the raw table; validate() is not called.
+    value in 0..n-1. A table is kept when brute_is_chain holds.
     Sorted by signature.
     """
     found = []
@@ -198,14 +216,7 @@ def brute_chains(n, idempotent=False):
             t = [row[:] for row in base]
             for (x, y), v in zip(free, values):
                 t[x][y] = v
-            monotone = all(
-                t[x][y] <= t[x][y + 1] and t[y][x] <= t[y + 1][x]
-                for x in range(n) for y in range(n - 1)
-            )
-            if monotone and all(
-                t[t[x][y]][z] == t[x][t[y][z]]
-                for x in range(n) for y in range(n) for z in range(n)
-            ):
+            if brute_is_chain(n, unit, t):
                 found.append(FiniteChain(n, unit, tuple(map(tuple, t))))
     return sorted(found, key=lambda c: c.signature)
 

@@ -225,15 +225,32 @@ def test_non_closed_subset_is_not_a_subuniverse():
 
 
 def test_restrict_to_refuses_a_product_closed_set_that_is_no_subuniverse():
-    # {1, 2} is closed under the product but not under the residuals: the
-    # residual of 1 by 2 is 0. On {1, 2} alone no z has 2 * z <= 1, so the
-    # table left over is not residuated and must not come back as a chain
-    c = validate(3, 1, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
-    assert not is_subuniverse(c, {1, 2})
-    for _ in range(2):
-        with pytest.raises(InvalidChainError) as err:
-            restrict_to(c, {1, 2})
-        assert "NotResiduated" in err.value.codes
+    cases = [
+        # {1, 2} is closed under the product but not under the residuals: the
+        # residual of 1 by 2 is 0. On {1, 2} alone no z has 2 * z <= 1, so the
+        # table left over is not residuated and must not come back as a chain
+        (validate(3, 1, ((0, 0, 0), (0, 1, 2), (0, 2, 2))), {1, 2}),
+        # the complement of b0 in com(1, 0): r(a0) = b0 lies outside, yet the
+        # table left over is a valid chain, com(0, 0), so no check of that
+        # table can tell
+        (com(1, 0), {0, 2, 3}),
+    ]
+    for c, subset in cases:
+        assert not is_subuniverse(c, subset)
+        for _ in range(2):
+            with pytest.raises(InvalidChainError) as err:
+                restrict_to(c, subset)
+            assert "NotResiduated" in err.value.codes
+
+
+@pytest.mark.parametrize("c, subset", [
+    (validate(3, 2, ((0, 0, 0), (0, 0, 1), (0, 1, 2))), {1, 2}),  # 1 * 1 = 0
+    (com(1, 1), {0, 1}),  # no unit
+], ids=["product-leaves", "no-unit"])
+def test_restrict_to_refuses_a_set_that_is_not_a_submonoid(c, subset):
+    assert not is_subuniverse(c, subset)
+    with pytest.raises(ValueError):
+        restrict_to(c, subset)
 
 
 # --- isomorphism ------------------------------------------------------

@@ -44,11 +44,12 @@ from resichain.amalgamation import (
     find_amalgam,
     spans_over,
 )
-from resichain.chain import FiniteChain, validate
+from resichain.chain import _INTERNED, FiniteChain, validate
 from resichain.classification import _AUDIT_SIZE_CAP
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import (
     _hs_closed_sets,
+    brute_is_chain,
     reference_closure_rule_violations,
     reference_find_amalgam,
     reference_find_refuting_span,
@@ -649,6 +650,19 @@ def test_the_verdicts_of_two_large_closures_match_the_pinned_digest():
         records.append(verdict_record(ap_verdict(K)))
     blob = json.dumps(records, ensure_ascii=False, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == LARGE_VERDICTS_DIGEST
+
+
+def test_every_interned_table_is_a_chain():
+    # the table search and restrict_to intern their tables without checking
+    # them; an oracle that shares no code with either reads every table back
+    for n in range(1, 8):
+        enumerate_chains(n)
+    for generators in seeded_generators():
+        hs_closure(generators)
+    hs_closure([nested_sum([com(0, 0), com(2, 2), com(1, 0), go(2)])])
+    tables = list(_INTERNED)
+    assert len(tables) > 4687
+    assert [table for table in tables if not brute_is_chain(*table)] == []
 
 
 # --- what a closure remembers --------------------------------------------

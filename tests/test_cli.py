@@ -422,14 +422,17 @@ def two_element_blob(**changes) -> dict:
          "table entry mult[1][1] must be an integer, got True"),
         ("check", two_element_blob(size=True), "size and unit must be integers"),
         ("check", two_element_blob(labels="ab"), "labels must be a list, got str"),
+        ("show", two_element_blob(labels=[1, None]), "labels must be strings, got 1"),
+        ("show", two_element_blob(labels=["a", "a"]), "labels must be distinct, 'a' repeats"),
         ("pcondition", two_element_blob(f=2.7), "f must be an integer, got 2.7"),
         ("pcondition", two_element_blob(f="0"), "f must be an integer, got '0'"),
     ],
     ids=["float-entry", "string-entry", "bool-entry", "bool-size", "string-labels",
-         "float-f", "string-f"],
+         "number-labels", "repeated-labels", "float-f", "string-f"],
 )
 def test_chain_json_rejects_numbers_that_are_not_integers(capsys, tmp_path, verb, blob, witness):
-    # 1.9 used to be read as 1, "0" and True as 0 and 1, and "ab" as two labels
+    # 1.9 used to be read as 1, "0" and True as 0 and 1, "ab" as two labels,
+    # [1, null] as the labels "1" and "None", and ["a", "a"] was accepted
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(blob))
     code, out = run(capsys, verb, str(path))
