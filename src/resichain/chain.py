@@ -16,12 +16,14 @@ labels): the same data returns the same object, and label variants of one
 table share its rows. Equality and hashing read the table only, so label
 variants of one table are equal and hash alike.
 
-A table is checked once, where it enters. validate() checks outside input
-and runs the invariant check on a table not seen before; quotient() and the
-constructors go through it. The table search (_search) and restrict_to()
-build chains by construction and intern them directly (_intern): the search
-prunes on every invariant as it fills the table, and restrict_to() checks
-that its set is a subuniverse, and a subalgebra of a chain is a chain.
+A table is checked once, where it enters. validate() is for tables from
+outside (chain_from_json, and TRIVIAL below): it runs the invariant check on
+a table not seen before. Every chain the library builds is a chain by
+construction and is interned directly (_intern): go, com and nested_sum
+(whose one check is that every summand but the last is admissible),
+quotient() (a Congruence is always a congruence), the table search
+(_search, which prunes on every invariant as it fills the table) and
+restrict_to() (which checks that its set is a subuniverse).
 """
 
 from __future__ import annotations
@@ -177,7 +179,9 @@ _INTERNED: dict = {}
 
 def validate(size: int, unit: int, mult: Sequence[Sequence[int]],
              labels: Optional[Sequence[str]] = None) -> FiniteChain:
-    """Check the four chain invariants; raise InvalidChainError listing all failures.
+    """Check a table from outside against the four chain invariants; raise
+    InvalidChainError listing all failures. Library constructors intern
+    what they build with _intern instead.
 
     Unit law and associativity report as NotAMonoid, order-preservation as
     NotMonotone, bottom-absorption as NotResiduated (it is exactly what

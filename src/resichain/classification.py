@@ -302,10 +302,11 @@ def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
         stack.append((x + 1, chosen, out | 1 << x))
 
 
-@remembered(chains=1)
 def _hs_images(chain: FiniteChain) -> tuple:
     """Every subalgebra, in the order of their element bitmasks, then every
-    quotient, of one chain (the chain itself among them)."""
+    quotient, of one chain (the chain itself among them). Not remembered:
+    its callers ask about once per chain (_closure_of remembers the closure),
+    and each image is an interned chain, so a call gives the same objects."""
     def members(mask: int) -> list:
         return [x for x in chain.elements() if mask >> x & 1]
 

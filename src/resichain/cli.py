@@ -34,8 +34,9 @@ from .errors import MalformedInput, ResichainError, SizeTooLarge
 # what it uses, so a light verb does not load the classification,
 # amalgamation and self-check modules.
 
-# the largest chain `make` builds; its table grows with the square of the
-# size and its validation with the cube (go:127 takes about 0.1 s)
+# the largest chain `make` builds; its table and its output grow with the
+# square of the size, and nothing checks it again (a fresh-interpreter
+# go:127 takes 0.15-0.23 s on a 2-core machine, about what go:0 takes)
 MAKE_MAX_SIZE = 128
 
 # operand count of each as-op operation

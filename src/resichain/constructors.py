@@ -9,6 +9,10 @@ returns the glued chain alone. Its elements keep their summands' labels;
 a label that occurs in more than one summand gets the summand's position
 as a suffix (b0.1, b0.2), so each element's origin can be read back from
 the chain.
+
+Each table is a chain by construction, so it is interned (chain._intern)
+without a check of its own; the only checks are on the arguments, and
+nested_sum's that every summand but the last is admissible.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._memo import remembered
-from .chain import FiniteChain, predicates, validate
+from .chain import FiniteChain, _intern, predicates
 from .errors import NotAdmissible
 
 
@@ -29,7 +33,7 @@ def go(n: int) -> FiniteChain:
     size = n + 1
     table = [[min(x, y) for y in range(size)] for x in range(size)]
     labels = tuple(f"c{n - i}" for i in range(n)) + ("e",)
-    return validate(size, n, table, labels=labels)
+    return _intern(size, n, tuple(map(tuple, table)), labels)
 
 
 @remembered
@@ -56,7 +60,7 @@ def com(m: int, n: int) -> FiniteChain:
         + ("e",)
         + tuple(f"a{n - i}" for i in range(n + 1))
     )
-    return validate(size, u, table, labels=labels)
+    return _intern(size, u, tuple(map(tuple, table)), labels)
 
 
 def nested_sum(parts: Sequence[FiniteChain]) -> FiniteChain:
@@ -126,4 +130,4 @@ def nested_sum(parts: Sequence[FiniteChain]) -> FiniteChain:
                     table[gx][gy] = gx  # outer summand absorbs across summands
                 else:
                     table[gx][gy] = gy
-    return validate(size, unit_pos, table, labels=tuple(out_labels))
+    return _intern(size, unit_pos, tuple(map(tuple, table)), tuple(out_labels))

@@ -30,7 +30,7 @@ class Violation:
 
 
 class InvalidChainError(ResichainError):
-    """Raised by validate() with the full list of violated invariants, and by
+    """Raised by chain.validate with the full list of violated invariants, and by
     restrict_to() on a set that is closed under the product but not a
     subuniverse."""
 

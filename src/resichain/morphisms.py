@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._memo import Memo, remembered
-from .chain import FiniteChain, signature_hex, validate
+from .chain import FiniteChain, _intern, signature_hex
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +212,11 @@ def embeds(a: FiniteChain, b: FiniteChain) -> bool:
 @dataclass(frozen=True)
 class Congruence:
     """A congruence, stored as its full block partition. blocks are the
-    classes in chain order; kernel_class is the block of the unit."""
+    classes in chain order; kernel_class is the block of the unit.
+
+    Only a congruence is accepted: kernel_class must be a normal convex
+    subuniverse and blocks the partition it induces, otherwise ValueError.
+    So quotient() can trust the partition."""
 
     chain: FiniteChain
     blocks: tuple
@@ -229,6 +233,13 @@ class Congruence:
             raise ValueError("blocks must partition the chain in order")
         if self.chain.unit not in self.kernel_class:
             raise ValueError("kernel_class must contain the unit")
+        if tuple(self.kernel_class) not in map(tuple, self.blocks):
+            raise ValueError("kernel_class must be a block")
+        lo, hi = self.kernel_class[0], self.kernel_class[-1]
+        if not _interval_is_normal_subuniverse(self.chain, lo, hi):
+            raise ValueError("kernel_class is not a normal convex subuniverse")
+        if tuple(map(tuple, self.blocks)) != _blocks_from_kernel(self.chain, lo, hi):
+            raise ValueError("blocks must be the partition that kernel_class induces")
 
 
 def _interval_is_normal_subuniverse(chain: FiniteChain, lo: int, hi: int) -> bool:
@@ -279,10 +290,9 @@ def _blocks_from_kernel(chain: FiniteChain, lo: int, hi: int) -> tuple:
 
 
 def _congruence(chain: FiniteChain, lo: int, hi: int) -> Congruence:
-    """The congruence of a kernel interval already known to be one."""
-    blocks = _blocks_from_kernel(chain, lo, hi)
-    kernel_class = next(blk for blk in blocks if blk[0] <= chain.unit <= blk[-1])
-    return Congruence(chain, blocks, kernel_class)
+    """The congruence of a kernel interval already known to be one; the
+    unit's block of the partition it induces is the interval itself."""
+    return Congruence(chain, _blocks_from_kernel(chain, lo, hi), tuple(range(lo, hi + 1)))
 
 
 def congruence_from_kernel(chain: FiniteChain, kernel: Sequence[int]) -> Congruence:
@@ -316,7 +326,11 @@ def quotient(chain: FiniteChain, cong: Congruence):
     """Quotient chain by a congruence; returns (chain, projection).
 
     Blocks keep the source order; merged blocks get a bracketed label
-    listing the collapsed elements.
+    listing the collapsed elements. A bracketed label that another block
+    already has gets the first free suffix .2, .3, ..., so the labels stay
+    distinct when the chain's are. A quotient of a chain by a congruence
+    (which Congruence guarantees) is a chain, so its table is interned
+    without a check of its own.
     """
     if cong.chain != chain:
         raise ValueError("congruence belongs to a different chain")
@@ -330,13 +344,19 @@ def quotient(chain: FiniteChain, cong: Congruence):
         [index_of[chain.mult[blk[0]][other[0]]] for other in blocks]
         for blk in blocks
     ]
-    labels = tuple(
-        chain.label(blk[0])
-        if len(blk) == 1
-        else "[" + " ".join(chain.label(x) for x in blk) + "]"
-        for blk in blocks
-    )
-    q = validate(size, index_of[chain.unit], table, labels=labels)
+    singles = {chain.label(blk[0]) for blk in blocks if len(blk) == 1}
+    labels = []
+    for blk in blocks:
+        if len(blk) == 1:
+            labels.append(chain.label(blk[0]))
+            continue
+        name = label = "[" + " ".join(chain.label(x) for x in blk) + "]"
+        suffix = 1
+        while label in singles or label in labels:
+            suffix += 1
+            label = f"{name}.{suffix}"
+        labels.append(label)
+    q = _intern(size, index_of[chain.unit], tuple(map(tuple, table)), tuple(labels))
     proj = ChainMap(chain, q, tuple(index_of[x] for x in range(chain.size)))
     return q, proj
 

@@ -178,7 +178,7 @@ def brute_congruence_blocks(chain):
 def brute_is_chain(size, unit, rows) -> bool:
     """Whether a raw table is a residuated chain: the unit law, an absorbing
     bottom, monotone in each argument, and associative, each read from the
-    table by its definition; validate() is not called."""
+    table by its definition; chain.validate is not called."""
     n, t = size, rows
     return (
         all(t[unit][x] == x == t[x][unit] for x in range(n))

@@ -809,19 +809,15 @@ def members_record(K) -> list:
     return [(canonical_signature(c), c.labels) for c in K.members]
 
 
-def test_hs_closure_keeps_the_chains_that_the_walk_keeps(memo_restarts):
+def test_hs_closure_keeps_the_chains_that_the_walk_keeps():
     # a closure is merged from one remembered closure per generator; each
     # signature must keep the very chain that the plain walk keeps
     classification._closure_of.memo.clear()
-    classification._hs_images.memo.clear()
-    restarts = memo_restarts(classification._hs_images.memo)
     lists = generator_lists()
     assert len(lists) == 2 * 643 + 25 + 2 * 40
     for generators in lists:
         got, want = hs_closure(generators).members, reference_hs_closure(generators).members
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
-    # no image was evicted, so both sides met the same image objects
-    assert memo_restarts(classification._hs_images.memo) == restarts
 
 
 def test_hs_step_lists_the_reference_images_of_every_small_chain():
@@ -838,17 +834,13 @@ def test_hs_step_lists_the_reference_images_of_every_small_chain():
 
 
 def test_hs_closure_does_not_depend_on_the_closures_built_before():
-    # the memos behind hs_closure start over between sets: _closure_of
-    # before every second set and _hs_images before every seventh, so that
-    # each one is also cleared without the other
+    # the memo behind hs_closure starts over before every second set
     lists = generator_lists()
     want = [members_record(reference_hs_closure(generators)) for generators in lists]
     got = []
     for i, generators in enumerate(lists):
         if i % 2 == 0:
             classification._closure_of.memo.clear()
-        if i % 7 == 0:
-            classification._hs_images.memo.clear()
         got.append(members_record(hs_closure(generators)))
     assert got == want
 

@@ -160,6 +160,19 @@ def test_quotient_rejects_a_non_kernel_interval(capsys, tmp_path):
     assert got["error"] == "InvalidKernel"
 
 
+def test_a_quotient_label_that_would_repeat_gets_a_suffix(capsys, tmp_path):
+    # the merged block's bracketed label equals the first element's label
+    blob = dict(com(1, 1).to_json(), labels=["[b0 e x a1]", "b0", "e", "x", "a1"])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(blob))
+    code, out = run(capsys, "quotient", "--kernel", "b0,a1", str(path))
+    assert code == 0
+    assert json.loads(out)["labels"] == ["[b0 e x a1]", "[b0 e x a1].2"]
+    path.write_text(out)
+    code, _ = run(capsys, "show", str(path))
+    assert code == 0
+
+
 def test_enumerate_with_filters(capsys):
     code, got = run_json(capsys, "enumerate", "3", "--commutative", "--idempotent")
     assert code == 0

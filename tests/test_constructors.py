@@ -5,12 +5,14 @@ import pytest
 from resichain import (
     LEFT,
     NotAdmissible,
+    enumerate_chains,
     iso_equal,
     predicates,
     residual,
     validate,
 )
 from resichain.constructors import com, go, nested_sum
+from resichain.selfcheck import brute_is_chain
 
 
 def lab(chain, name):
@@ -175,3 +177,15 @@ def test_nested_sum_associates_with_itself():
     left = nested_sum([inner, go(1)])
     flat = nested_sum([com(0, 0), com(1, 0), go(1)])
     assert iso_equal(left, flat)
+
+
+def test_every_nested_sum_of_small_chains_is_a_chain():
+    # nested_sum interns its table without a check of its own; an oracle
+    # that shares no code with it reads each glued table back
+    chains = [c for n in range(1, 6) for c in enumerate_chains(n)]
+    outer = [c for c in chains if predicates(c).admissible]
+    sums = [nested_sum([p, q]) for p in outer for q in chains]
+    small = [c for c in outer if c.size <= 4]
+    sums += [nested_sum([p, q, r]) for p in small for q in small for r in chains if r.size <= 4]
+    assert (len(outer), len(sums)) == (32, 32 * 104 + 6 * 6 * 20)
+    assert [s for s in sums if not brute_is_chain(s.size, s.unit, s.mult)] == []

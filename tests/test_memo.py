@@ -36,7 +36,6 @@ CERTIFICATE = _construct(A, B, C, I_B, I_C)
 
 # every remembered function that takes chains, with arguments for it
 CHAIN_ARGUMENTS = {
-    "_hs_images": (classification._hs_images, (com(1, 1),)),
     "_closure_of": (classification._closure_of, (go(3),)),
     "_quotients": (morphisms._quotients, (com(1, 1),)),
     "_witness": (classification._witness, (A, B, C, I_B, I_C)),
@@ -97,7 +96,7 @@ def test_every_memo_has_a_module_level_name():
             if isinstance(memo, _memo.Memo):
                 named.add(id(memo))
     assert {id(memo) for memo in _memo._MEMOS} == named
-    assert len(_memo._MEMOS) == 19
+    assert len(_memo._MEMOS) == 18
 
 
 def test_equal_results_that_cost_memory_are_one_object():

@@ -6,6 +6,7 @@ import pytest
 from resichain import (
     TRIVIAL,
     ChainMap,
+    Congruence,
     FiniteChain,
     congruence_from_kernel,
     congruences,
@@ -23,6 +24,7 @@ from resichain import _memo, morphisms
 from resichain.constructors import com, go, nested_sum
 from resichain.selfcheck import (
     brute_congruence_blocks,
+    brute_is_chain,
     definitional_embedding,
     definitional_homomorphism,
     residual_tables,
@@ -236,6 +238,47 @@ def test_congruences_match_brute_interval_scan():
         assert got == want
 
 
+def interval_partitions(n: int):
+    """Every partition of 0..n-1 into intervals, in chain order."""
+    for cuts in range(1 << (n - 1)):
+        blocks, start = [], 0
+        for x in range(1, n):
+            if cuts >> (x - 1) & 1:
+                blocks.append(tuple(range(start, x)))
+                start = x
+        yield tuple(blocks) + (tuple(range(start, n)),)
+
+
+def test_congruence_accepts_exactly_the_brute_force_congruences():
+    # every interval partition, with the unit's block as its kernel
+    chains = [c for n in range(1, 6) for c in enumerate_chains(n)]
+    tried, accepted = 0, 0
+    for chain in chains:
+        want = set(brute_congruence_blocks(chain))
+        for blocks in interval_partitions(chain.size):
+            kernel = next(blk for blk in blocks if chain.unit in blk)
+            try:
+                Congruence(chain, blocks, kernel)
+            except ValueError:
+                assert blocks not in want, (chain.mult, blocks)
+            else:
+                assert blocks in want, (chain.mult, blocks)
+                accepted += 1
+            tried += 1
+    assert (len(chains), tried, accepted) == (104, 1479, 265)
+
+
+def test_congruence_refuses_a_kernel_that_is_not_normal():
+    # {e, a0} in com(0, 0) is no subuniverse, since a0\e = b0; the quotient
+    # of this partition would be go(1) with the projection (0, 1, 1), which
+    # is no homomorphism
+    with pytest.raises(ValueError, match="normal convex subuniverse"):
+        Congruence(com(0, 0), ((0,), (1, 2)), (1, 2))
+    # a kernel_class that is not the unit's whole block is refused first
+    with pytest.raises(ValueError, match="kernel_class must be a block"):
+        Congruence(com(0, 0), ((0,), (1, 2)), (1,))
+
+
 def test_congruence_from_kernel_requires_a_full_interval():
     c = com(1, 1)
     with pytest.raises(ValueError):
@@ -269,6 +312,20 @@ def test_quotient_by_diagonal_returns_the_chain():
     q, proj = quotient(c, diag)
     assert iso_equal(q, c)
     assert proj.image == tuple(c.elements())
+
+
+def test_every_small_quotient_is_a_chain_and_its_projection_a_homomorphism():
+    # quotient interns its table without a check of its own; oracles that
+    # share no code with it read the table and the projection back
+    checked = 0
+    for n in range(1, 7):
+        for chain in enumerate_chains(n):
+            for cong in congruences(chain):
+                q, proj = quotient(chain, cong)
+                assert brute_is_chain(q.size, q.unit, q.mult), (chain.mult, cong.blocks)
+                assert definitional_homomorphism(chain, q, proj.image), (chain.mult, cong.blocks)
+                checked += 1
+    assert checked == 1794
 
 
 def test_projection_kernel_round_trips():
