@@ -13,11 +13,11 @@ the table's two parts are _memo memos, each starting over on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._memo import Memo, remembered
+from ._record import Record
 from .chain import FiniteChain, chain_from_json, check_cap, enumerate_chains
 from .constructors import com, go
 from .decomposition import decompose
@@ -32,22 +32,24 @@ from .morphisms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(Record):
     """Two embeddings i_B: A→B and i_C: A→C out of a shared chain."""
 
-    A: FiniteChain
-    B: FiniteChain
-    C: FiniteChain
-    i_B: ChainMap
-    i_C: ChainMap
+    __slots__ = ("A", "B", "C", "i_B", "i_C")
 
-    def __post_init__(self):
-        if self.i_B.domain != self.A or self.i_B.codomain != self.B:
+    def __init__(self, A: FiniteChain, B: FiniteChain, C: FiniteChain, i_B: ChainMap,
+                 i_C: ChainMap):
+        init = object.__setattr__
+        init(self, "A", A)
+        init(self, "B", B)
+        init(self, "C", C)
+        init(self, "i_B", i_B)
+        init(self, "i_C", i_C)
+        if i_B.domain != A or i_B.codomain != B:
             raise InvalidSpan()
-        if self.i_C.domain != self.A or self.i_C.codomain != self.C:
+        if i_C.domain != A or i_C.codomain != C:
             raise InvalidSpan()
-        if not is_embedding(self.i_B) or not is_embedding(self.i_C):
+        if not is_embedding(i_B) or not is_embedding(i_C):
             raise InvalidSpan()
 
     def to_json(self) -> dict:
@@ -89,15 +91,18 @@ def span_from_json(data: dict) -> Span:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class AmalgamResult:
+class AmalgamResult(Record):
     """Completion of a span: j_B embeds B, j_C maps C (embedding unless
     one_sided), and both routes from A agree."""
 
-    D: FiniteChain
-    j_B: ChainMap
-    j_C: ChainMap
-    one_sided: bool
+    __slots__ = ("D", "j_B", "j_C", "one_sided")
+
+    def __init__(self, D: FiniteChain, j_B: ChainMap, j_C: ChainMap, one_sided: bool):
+        init = object.__setattr__
+        init(self, "D", D)
+        init(self, "j_B", j_B)
+        init(self, "j_C", j_C)
+        init(self, "one_sided", one_sided)
 
     def to_json(self) -> dict:
         return {
@@ -108,20 +113,24 @@ class AmalgamResult:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Refuted:
+class Refuted(Record):
     """No amalgam exists in the class; trustworthy only when the search
     covered every member (complete=True was asserted by the caller)."""
 
-    checked: int
+    __slots__ = ("checked",)
+
+    def __init__(self, checked: int):
+        super().__init__(checked)
 
 
-@dataclass(frozen=True)
-class BoundExhausted:
+class BoundExhausted(Record):
     """Search ran out of candidates below the size bound without either
     finding an amalgam or being entitled to refute."""
 
-    size_bound: int
+    __slots__ = ("size_bound",)
+
+    def __init__(self, size_bound: int):
+        super().__init__(size_bound)
 
 
 def verify_amalgam(span: Span, result: AmalgamResult) -> bool:

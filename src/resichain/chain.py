@@ -29,10 +29,10 @@ restrict_to() (which checks that its set is a subuniverse).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .errors import InvalidChainError, SizeTooLarge, Violation
 
 LEFT = "left"
@@ -74,28 +74,26 @@ def _encode_signature(size: int, unit: int, mult: tuple) -> bytes:
     return b"\x04" + b"".join(v.to_bytes(4, "big") for v in flat)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteChain:
+class FiniteChain(Record):
     """Immutable residuated chain. Build through validate() or a constructor.
 
     Two chains are equal when their tables are; labels do not count.
     """
 
-    size: int
-    unit: int
-    mult: tuple
-    labels: Optional[tuple] = None
-    signature: bytes = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-    _tables: Optional["ChainTables"] = field(init=False, repr=False, default=None)
-    # filled by decomposition.decompose on first use
-    _decomposition: Optional["DecompositionSignature"] = field(
-        init=False, repr=False, default=None
-    )
+    __slots__ = ("size", "unit", "mult", "labels", "signature", "_hash", "_tables",
+                 "_decomposition")
 
-    def __post_init__(self):
-        object.__setattr__(self, "signature", _encode_signature(self.size, self.unit, self.mult))
-        object.__setattr__(self, "_hash", hash((self.size, self.unit, self.mult)))
+    def __init__(self, size: int, unit: int, mult: tuple, labels: Optional[tuple] = None):
+        init = object.__setattr__
+        init(self, "size", size)
+        init(self, "unit", unit)
+        init(self, "mult", mult)
+        init(self, "labels", labels)
+        init(self, "_tables", None)
+        # filled by decomposition.decompose on first use
+        init(self, "_decomposition", None)
+        init(self, "signature", _encode_signature(size, unit, mult))
+        init(self, "_hash", hash((size, unit, mult)))
 
     def __eq__(self, other):
         if self is other:
@@ -155,6 +153,9 @@ class FiniteChain:
 
     def __repr__(self) -> str:
         return f"FiniteChain(size={self.size}, unit={self.unit})"
+
+    def __reduce__(self):
+        return FiniteChain, (self.size, self.unit, self.mult, self.labels)
 
 
 def chain_from_json(data: dict) -> FiniteChain:
@@ -290,12 +291,12 @@ def _check_invariants(size: int, unit: int, rows: tuple) -> None:
         raise InvalidChainError(violations)
 
 
-@dataclass(frozen=True)
-class ChainPredicates:
-    commutative: bool
-    idempotent: bool
-    star_involutive: bool
-    admissible: bool
+class ChainPredicates(Record):
+    __slots__ = ("commutative", "idempotent", "star_involutive", "admissible")
+
+    def __init__(self, commutative: bool, idempotent: bool, star_involutive: bool,
+                 admissible: bool):
+        super().__init__(commutative, idempotent, star_involutive, admissible)
 
     def as_dict(self) -> dict:
         return {
@@ -306,7 +307,7 @@ class ChainPredicates:
         }
 
 
-KNOWN_FILTERS = frozenset(f.name for f in fields(ChainPredicates))
+KNOWN_FILTERS = frozenset(ChainPredicates._fields)
 
 
 class ChainTables(NamedTuple):

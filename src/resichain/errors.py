@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 
 class ResichainError(Exception):
@@ -18,12 +18,13 @@ class ResichainError(Exception):
         return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One violated table invariant plus a witness tuple."""
 
-    code: str
-    witness: tuple
+    __slots__ = ("code", "witness")
+
+    def __init__(self, code: str, witness: tuple):
+        super().__init__(code, witness)
 
     def as_dict(self) -> dict:
         return {"error": self.code, "witness": list(self.witness)}

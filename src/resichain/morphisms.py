@@ -13,33 +13,34 @@ because quotients and projections read it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._memo import Memo, remembered
+from ._record import Record
 from .chain import FiniteChain, _intern, signature_hex
 
 
-@dataclass(frozen=True, slots=True)
-class ChainMap:
+class ChainMap(Record):
     """A function between two chains, recorded pointwise."""
 
-    domain: FiniteChain
-    codomain: FiniteChain
-    image: tuple
+    __slots__ = ("domain", "codomain", "image")
 
-    def __post_init__(self):
-        if type(self.image) is not tuple:
-            object.__setattr__(self, "image", tuple(self.image))
-        if len(self.image) != self.domain.size:
+    def __init__(self, domain: FiniteChain, codomain: FiniteChain, image: tuple):
+        if type(image) is not tuple:
+            image = tuple(image)
+        if len(image) != domain.size:
             raise ValueError("one image per domain element")
-        for v in self.image:
+        for v in image:
             # exactly int: 0.0 and False equal 0, so they would read the
             # verdict remembered for an integer map
             if type(v) is not int:
                 raise ValueError(f"image entries must be integers, got {v!r}")
-            if not 0 <= v < self.codomain.size:
+            if not 0 <= v < codomain.size:
                 raise ValueError("image out of range")
+        init = object.__setattr__
+        init(self, "domain", domain)
+        init(self, "codomain", codomain)
+        init(self, "image", image)
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -209,8 +210,7 @@ def embeds(a: FiniteChain, b: FiniteChain) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """A congruence, stored as its full block partition. blocks are the
     classes in chain order; kernel_class is the block of the unit.
 
@@ -218,28 +218,27 @@ class Congruence:
     subuniverse and blocks the partition it induces, otherwise ValueError.
     So quotient() can trust the partition."""
 
-    chain: FiniteChain
-    blocks: tuple
-    kernel_class: tuple
+    __slots__ = ("chain", "blocks", "kernel_class")
 
-    def __post_init__(self):
+    def __init__(self, chain: FiniteChain, blocks: tuple, kernel_class: tuple):
         seen = []
-        for blk in self.blocks:
+        for blk in blocks:
             # order-convex: each block is a run of consecutive elements
             if tuple(blk) != tuple(range(blk[0], blk[-1] + 1)):
                 raise ValueError("blocks must be intervals")
             seen.extend(blk)
-        if seen != list(range(self.chain.size)):
+        if seen != list(range(chain.size)):
             raise ValueError("blocks must partition the chain in order")
-        if self.chain.unit not in self.kernel_class:
+        if chain.unit not in kernel_class:
             raise ValueError("kernel_class must contain the unit")
-        if tuple(self.kernel_class) not in map(tuple, self.blocks):
+        if tuple(kernel_class) not in map(tuple, blocks):
             raise ValueError("kernel_class must be a block")
-        lo, hi = self.kernel_class[0], self.kernel_class[-1]
-        if not _interval_is_normal_subuniverse(self.chain, lo, hi):
+        lo, hi = kernel_class[0], kernel_class[-1]
+        if not _interval_is_normal_subuniverse(chain, lo, hi):
             raise ValueError("kernel_class is not a normal convex subuniverse")
-        if tuple(map(tuple, self.blocks)) != _blocks_from_kernel(self.chain, lo, hi):
+        if tuple(map(tuple, blocks)) != _blocks_from_kernel(chain, lo, hi):
             raise ValueError("blocks must be the partition that kernel_class induces")
+        super().__init__(chain, blocks, kernel_class)
 
 
 def _interval_is_normal_subuniverse(chain: FiniteChain, lo: int, hi: int) -> bool:
@@ -290,9 +289,11 @@ def _blocks_from_kernel(chain: FiniteChain, lo: int, hi: int) -> tuple:
 
 
 def _congruence(chain: FiniteChain, lo: int, hi: int) -> Congruence:
-    """The congruence of a kernel interval already known to be one; the
-    unit's block of the partition it induces is the interval itself."""
-    return Congruence(chain, _blocks_from_kernel(chain, lo, hi), tuple(range(lo, hi + 1)))
+    """The congruence of a kernel interval already known to be one, built
+    without Congruence's checks; the unit's block of the partition it
+    induces is the interval itself."""
+    blocks = _blocks_from_kernel(chain, lo, hi)
+    return Congruence._trusted(chain, blocks, tuple(range(lo, hi + 1)))
 
 
 def congruence_from_kernel(chain: FiniteChain, kernel: Sequence[int]) -> Congruence:

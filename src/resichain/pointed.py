@@ -12,9 +12,9 @@ congruences of the unpointed chain, so no separate machinery is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ._record import Record
 from .chain import (
     STAR,
     FiniteChain,
@@ -37,16 +37,15 @@ TWO_C = "2c"
 CONDITIONS = (ONE_A, ONE_B, ONE_C, TWO_A, TWO_B, TWO_C)
 
 
-@dataclass(frozen=True)
-class PointedChain:
+class PointedChain(Record):
     """A finite chain with a designated constant f (an element index)."""
 
-    base: FiniteChain
-    f: int
+    __slots__ = ("base", "f")
 
-    def __post_init__(self):
-        if not 0 <= self.f < self.base.size:
+    def __init__(self, base: FiniteChain, f: int):
+        if not 0 <= f < base.size:
             raise ValueError("f out of range")
+        super().__init__(base, f)
 
     def to_json(self) -> dict:
         out = self.base.to_json()

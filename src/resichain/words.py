@@ -9,21 +9,22 @@ members. Factor questions on these families reduce to bounded scans.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class FiniteWord:
+
+class FiniteWord(Record):
     """A finite block of bits; the unit of comparison between words."""
 
-    bits: tuple
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if len(self.bits) == 0:
+    def __init__(self, bits: tuple):
+        if len(bits) == 0:
             raise ValueError("finite words are nonempty")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        super().__init__(bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -32,18 +33,17 @@ class FiniteWord:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class Periodic:
+class Periodic(Record):
     """w(i) = bits[(i - phase) mod period]."""
 
-    bits: tuple
-    phase: int = 0
+    __slots__ = ("bits", "phase")
 
-    def __post_init__(self):
-        if len(self.bits) == 0:
+    def __init__(self, bits: tuple, phase: int = 0):
+        if len(bits) == 0:
             raise ValueError("period is nonempty")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        super().__init__(bits, phase)
 
     def bit_at(self, i: int) -> int:
         return self.bits[(i - self.phase) % len(self.bits)]
@@ -55,14 +55,13 @@ class Periodic:
         return "per:" + "".join(str(b) for b in self.bits) + f"@{self.phase}"
 
 
-@dataclass(frozen=True)
-class FiniteSupport:
+class FiniteSupport(Record):
     """w(i) = 1 exactly on the stored positions."""
 
-    support: frozenset
+    __slots__ = ("support",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
+    def __init__(self, support: frozenset):
+        super().__init__(frozenset(support))
 
     def bit_at(self, i: int) -> int:
         return 1 if i in self.support else 0
@@ -143,15 +142,16 @@ def preorder_leq(w1: SetSpec, w2: SetSpec) -> bool:
     return _trimmed_block(w1) == _trimmed_block(w2)
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(Record):
     """minimal with a uniform-recurrence offset (every window of length
     n + recurrence_offset contains every length-n factor), or refuted by
     a strictly smaller word."""
 
-    minimal: bool
-    recurrence_offset: Optional[int] = None
-    below: Optional[SetSpec] = None
+    __slots__ = ("minimal", "recurrence_offset", "below")
+
+    def __init__(self, minimal: bool, recurrence_offset: Optional[int] = None,
+                 below: Optional[SetSpec] = None):
+        super().__init__(minimal, recurrence_offset, below)
 
     def to_json(self) -> dict:
         out: dict = {"minimal": self.minimal}

@@ -13,9 +13,9 @@ cross-checks them is selfcheck.window_residual_oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+from ._record import Record
 from .chain import ELL, LEFT, R, RIGHT, STAR
 from .errors import StartIsUnit
 from .words import SetSpec
@@ -25,18 +25,17 @@ B = "b"
 E = "e"
 
 
-@dataclass(frozen=True)
-class ASElement:
-    kind: str  # "a", "b", or "e"
-    index: Optional[int] = None
+class ASElement(Record):
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self):
-        if self.kind not in (A, B, E):
+    def __init__(self, kind: str, index: Optional[int] = None):
+        if kind not in (A, B, E):
             raise ValueError("kind must be a, b, or e")
-        if self.kind == E and self.index is not None:
+        if kind == E and index is not None:
             raise ValueError("the unit carries no index")
-        if self.kind != E and self.index is None:
+        if kind != E and index is None:
             raise ValueError("letter elements carry an index")
+        super().__init__(kind, index)
 
     def text(self) -> str:
         if self.kind == E:

@@ -1,7 +1,6 @@
 """Cayley-table validation, residuals, derived maps, predicates,
 subuniverses, isomorphism, and bounded enumeration."""
 
-import dataclasses
 import hashlib
 import itertools
 
@@ -311,15 +310,20 @@ def test_derived_tables_are_built_once():
     assert predicates(c) is c.tables.predicates
 
 
-# A version that kept the decomposition in an attribute the dataclass does
-# not declare, set through object.__setattr__, ran the closure benchmark
-# about 12% slower (327-353 against 366-415 ops/s over 4 runs); declared as
-# a field, it ran faster than before.
+# A version that kept the decomposition in an attribute the class does not
+# declare, set through object.__setattr__, ran the closure benchmark about
+# 12% slower (327-353 against 366-415 ops/s over 4 runs); declared as a
+# field, it ran faster than before. A chain has slots and no __dict__, so
+# what it works out about itself has nowhere to go but a declared slot.
 def test_a_chain_holds_only_its_declared_fields():
     chain = nested_sum([com(1, 1), go(2)])
     chain.tables
     decompose(chain)
-    assert set(vars(chain)) <= {f.name for f in dataclasses.fields(FiniteChain)}
+    assert not hasattr(chain, "__dict__")
+    assert chain._tables is not None and chain._decomposition is not None
+    assert all(hasattr(chain, name) for name in FiniteChain.__slots__)
+    with pytest.raises(AttributeError):
+        object.__setattr__(chain, "_undeclared", None)
 
 
 def test_constructors_build_each_chain_once():

@@ -735,6 +735,23 @@ def test_a_label_variant_takes_over_the_verdict_worked_out_before(monkeypatch):
             assert (w.i_B.image, w.i_C.image) == (v.i_B.image, v.i_C.image)
 
 
+def test_a_fresh_verdict_builds_the_signature_set_once(monkeypatch):
+    # classify and the audit share one set; once the verdict is kept, K lets
+    # the set go, and signatures() builds an equal one again
+    _memo.clear()  # so no earlier closure's verdict is carried over
+    K = ChainClass.from_chains(hs_closure([go(2), com(1, 0)]).members)
+    classification._finite_classes()
+    decomposed = []
+    monkeypatch.setattr(
+        classification, "decompose", lambda c: decomposed.append(c) or decompose(c)
+    )
+    verdict = ap_verdict(K)
+    assert isinstance(verdict, NoAP) and verdict.audit and verdict.witness is not None
+    assert decomposed == list(K.members)
+    assert K._signatures is None
+    assert K.signatures() == {decompose(c) for c in K.members}
+
+
 def test_classify_does_not_walk_a_closure_that_hs_closure_built(monkeypatch, closures):
     want = [classify(ChainClass.from_chains(K.members)) for K in closures]
 

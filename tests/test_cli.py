@@ -306,7 +306,10 @@ def test_light_verbs_load_only_the_modules_they_use(tmp_path):
         assert code == 0, (argv, proc.stderr)
         assert not heavy & set(loaded), (argv, loaded)
         if argv[0] == "check":
-            assert loaded == ["resichain", "resichain.chain", "resichain.cli", "resichain.errors"]
+            assert loaded == [
+                "resichain", "resichain._record", "resichain.chain", "resichain.cli",
+                "resichain.errors",
+            ]
 
 
 # --- amalgamation and classification ---------------------------------------

@@ -224,6 +224,20 @@ def test_congruence_counts_for_spec_chains():
     assert len(congruences(TRIVIAL)) == 1
 
 
+def test_congruences_test_each_kernel_interval_once(monkeypatch):
+    # every interval around the unit is tested once, and the congruences it
+    # yields are built without testing them again
+    tested = []
+    normal = morphisms._interval_is_normal_subuniverse
+    monkeypatch.setattr(
+        morphisms, "_interval_is_normal_subuniverse",
+        lambda chain, lo, hi: tested.append((lo, hi)) or normal(chain, lo, hi),
+    )
+    c = com(1, 1)
+    assert len(congruences(c)) == 3
+    assert sorted(tested) == [(lo, hi) for lo in range(3) for hi in range(2, 5)]
+
+
 def test_congruence_kernels_of_com11():
     kernels = [tuple(c.kernel_class) for c in congruences(com(1, 1))]
     assert (2,) in kernels  # diagonal

@@ -101,3 +101,24 @@ def test_importing_the_package_loads_no_submodule():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["['resichain']"]
+
+
+# Importing dataclasses loads inspect, ast, dis and tokenize: about 8 ms of
+# every CLI call. pytest loads both modules itself, so a fresh interpreter
+# imports the package; the submodules are listed from their files, since
+# pkgutil.iter_modules imports inspect.
+def test_no_submodule_imports_dataclasses_or_inspect():
+    package = Path(resichain.__file__).parent
+    names = sorted(f"resichain.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    assert "resichain.cli" in names and len(names) >= 13
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["[]"]
