@@ -14,10 +14,10 @@ _EXPORTS = {
     for module, names in {
         "chain": """ELL LEFT R RIGHT STAR TRIVIAL ChainPredicates FiniteChain
             canonical_signature chain_from_json derived enumerate_chains
-            enumeration_cap is_subuniverse iso_equal predicates residual
-            restrict_to signature_hex subalgebra_generated validate""",
+            enumeration_cap iso_equal predicates residual restrict_to
+            signature_hex subalgebra_generated validate""",
         "constructors": "com go nested_sum",
-        "morphisms": """ChainMap Congruence congruence_from_kernel congruences embeds
+        "morphisms": """ChainMap Congruence congruence_from_kernel congruences
             enumerate_embeddings enumerate_homomorphisms is_embedding
             is_homomorphism quotient""",
         "decomposition": """DecompositionSignature count_chains decompose recompose

@@ -23,7 +23,8 @@ construction and is interned directly (_intern): go, com and nested_sum
 (whose one check is that every summand but the last is admissible),
 quotient() (a Congruence is always a congruence), the table search
 (_search, which prunes on every invariant as it fills the table) and
-restrict_to() (which checks that its set is a subuniverse).
+_restrict (the subalgebras that the HS step and generated_pointed_subalgebra
+find); restrict_to() checks a set from outside, then calls _restrict.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def chain_from_json(data: dict) -> FiniteChain:
     if labels is not None and not isinstance(labels, list):
         raise TypeError(f"labels must be a list, got {type(labels).__name__}")
     chain = validate(data["size"], data["unit"], data["mult"], labels=labels)
-    # an element named by a repeated label could not be told apart; only here,
-    # since quotient()'s bracketed labels may repeat a label of the input
+    # an element named by a repeated label could not be told apart. Labels
+    # from outside enter only here: validate's other caller is TRIVIAL, and
+    # the library interns the chains it builds through _intern
     if labels is not None and len(set(chain.labels)) < chain.size:
         names = chain.labels
         repeated = next(s for i, s in enumerate(names) if s in names[:i])
@@ -419,42 +421,36 @@ def subalgebra_generated(chain: FiniteChain, seed: Iterable[int]) -> frozenset:
 def restrict_to(chain: FiniteChain, subuniverse: Iterable[int]) -> FiniteChain:
     """The subalgebra on a subuniverse, reindexed onto 0..k-1.
 
-    Raises ValueError when the set misses the unit or is not closed under
-    the product, and InvalidChainError with a NotResiduated violation
+    Raises ValueError when the set holds an element outside 0..n-1, misses
+    the unit or is not closed under the product, and InvalidChainError with a NotResiduated violation
     ("residual", x, y) when it is closed under the product but x\\y or y/x
-    lies outside it. A subalgebra of a chain is a chain, so its table is
-    interned without a check of its own.
+    lies outside it; (x, y) is the first such pair in sorted order.
     """
-    order = sorted(set(subuniverse))
-    if chain.unit not in order:
+    inside = set(subuniverse)
+    if not inside <= set(chain.elements()):
+        raise ValueError("subuniverse elements must lie in the chain")
+    if chain.unit not in inside:
         raise ValueError("subuniverse must contain the unit")
+    order = sorted(inside)
+    mult, lres, rres = chain.mult, chain.tables.lres, chain.tables.rres
+    if any(mult[x][y] not in inside for x in order for y in order):
+        raise ValueError("not closed under multiplication")
+    for x in order:
+        for y in order:
+            if lres[x][y] not in inside or rres[x][y] not in inside:
+                raise InvalidChainError([Violation("NotResiduated", ("residual", x, y))])
+    return _restrict(chain, order)
+
+
+def _restrict(chain: FiniteChain, order: list) -> FiniteChain:
+    """The subalgebra on order, a sorted list that is already known to be a
+    subuniverse: nothing here checks it. A subalgebra of a chain is a
+    chain, so its table is interned without a check of its own."""
     pos = {x: i for i, x in enumerate(order)}
     mult = chain.mult
-    try:
-        rows = tuple(tuple(pos[mult[x][y]] for y in order) for x in order)
-    except KeyError:
-        raise ValueError("not closed under multiplication") from None
-    if not is_subuniverse(chain, order):
-        lres, rres = chain.tables.lres, chain.tables.rres
-        x, y = next(
-            (x, y) for x in order for y in order
-            if lres[x][y] not in pos or rres[x][y] not in pos
-        )
-        raise InvalidChainError([Violation("NotResiduated", ("residual", x, y))])
+    rows = tuple(tuple(pos[mult[x][y]] for y in order) for x in order)
     labels = tuple(chain.label(x) for x in order) if chain.labels is not None else None
     return _intern(len(order), pos[chain.unit], rows, labels)
-
-
-def is_subuniverse(chain: FiniteChain, subset: Iterable[int]) -> bool:
-    s = set(subset)
-    if chain.unit not in s:
-        return False
-    mult, lres, rres = chain.mult, chain.tables.lres, chain.tables.rres
-    for x in s:
-        for y in s:
-            if mult[x][y] not in s or lres[x][y] not in s or rres[x][y] not in s:
-                return False
-    return True
 
 
 def canonical_signature(chain: FiniteChain) -> bytes:

@@ -20,11 +20,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ._memo import Memo, remembered
 from ._record import Record
-from .chain import (
-    FiniteChain,
-    restrict_to,
-    subalgebra_generated,
-)
+from .chain import FiniteChain, _restrict, subalgebra_generated
 from .decomposition import DecompositionSignature, decompose, recompose
 from .errors import NotHSClosed
 from .morphisms import ChainMap, _quotients, embedding_images
@@ -258,10 +254,6 @@ class ChainClass(Record):
     def __init__(self, members: Iterable[FiniteChain]):
         super().__init__(tuple(canonical_order(members)), False, None, None)
 
-    @classmethod
-    def from_chains(cls, chains: Iterable[FiniteChain]) -> "ChainClass":
-        return cls(members=chains)
-
     def signatures(self) -> frozenset:
         """The members' decomposition signatures, built on first use."""
         sigs = self._signatures
@@ -316,7 +308,7 @@ def _hs_images(chain: FiniteChain) -> tuple:
         return sum(1 << y for y in subalgebra_generated(chain, members(mask) + [x]))
 
     subuniverses = sorted(_closed_sets(chain.size, close, close(0, chain.unit)))
-    images = [restrict_to(chain, members(m)) for m in subuniverses]
+    images = [_restrict(chain, members(m)) for m in subuniverses]
     images.extend(q for q, _ in _quotients(chain))
     return tuple(images)
 

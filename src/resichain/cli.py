@@ -377,13 +377,11 @@ def cmd_words(args) -> int:
             args,
         )
         return 0
-    if args.op == "minimal":
-        w = _parsed(parse_word, args.w1)
-        out = {"op": "minimal", "word": w.text()}
-        out.update(is_minimal(w).to_json())
-        _emit(out, args)
-        return 0
-    _usage_error(f"unknown words operation {args.op!r}")
+    w = _parsed(parse_word, args.w1)
+    out = {"op": "minimal", "word": w.text()}
+    out.update(is_minimal(w).to_json())
+    _emit(out, args)
+    return 0
 
 
 def cmd_asop(args) -> int:
@@ -442,7 +440,7 @@ def cmd_ppartition(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .selfcheck import SUITES
+    from .selfcheck import AP_VERDICT_MAX_SIZE, SUITES
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
@@ -455,6 +453,10 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         _usage_error("--jobs must be at least 1")
     check_cap(args.max_size)
+    if "lemma:ap-verdict" in names and args.max_size > AP_VERDICT_MAX_SIZE:
+        raise SizeTooLarge(
+            f"lemma:ap-verdict size {args.max_size} exceeds its limit {AP_VERDICT_MAX_SIZE}"
+        )
     ok = True
     for name in names:
         checked, failures = SUITES[name](args.max_size, args.seed, args.jobs)

@@ -42,9 +42,6 @@ class ChainMap(Record):
         init(self, "codomain", codomain)
         init(self, "image", image)
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def is_injective(self) -> bool:
         return len(set(self.image)) == len(self.image)
 
@@ -202,12 +199,6 @@ def embedding_images(a: FiniteChain, b: FiniteChain) -> tuple:
 
 def enumerate_embeddings(a: FiniteChain, b: FiniteChain) -> list:
     return [ChainMap(a, b, f) for f in embedding_images(a, b)]
-
-
-def embeds(a: FiniteChain, b: FiniteChain) -> bool:
-    for _ in _embeddings_images(a, b):
-        return True
-    return False
 
 
 class Congruence(Record):

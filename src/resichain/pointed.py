@@ -18,10 +18,10 @@ from ._record import Record
 from .chain import (
     STAR,
     FiniteChain,
+    _restrict,
     chain_from_json,
     derived,
     enumerate_chains,
-    restrict_to,
     subalgebra_generated,
 )
 from .constructors import com, go
@@ -136,5 +136,5 @@ def pointed_pool(max_size: int) -> List[PointedChain]:
 def generated_pointed_subalgebra(A: PointedChain) -> PointedChain:
     """Subalgebra generated by f, with f relocalized."""
     universe = sorted(subalgebra_generated(A.base, [A.f]))
-    sub = restrict_to(A.base, universe)
+    sub = _restrict(A.base, universe)
     return PointedChain(sub, universe.index(A.f))

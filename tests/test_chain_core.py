@@ -16,13 +16,13 @@ from resichain import (
     FiniteChain,
     InvalidChainError,
     SizeTooLarge,
+    Violation,
     canonical_signature,
     chain_from_json,
     decompose,
     derived,
     enumerate_chains,
     enumeration_cap,
-    is_subuniverse,
     iso_equal,
     predicates,
     residual,
@@ -31,7 +31,14 @@ from resichain import (
     validate,
 )
 from resichain.constructors import com, go, nested_sum
-from resichain.selfcheck import brute_chains, brute_ell, brute_r, brute_residual, brute_star
+from resichain.selfcheck import (
+    brute_chains,
+    brute_ell,
+    brute_r,
+    brute_residual,
+    brute_star,
+    residual_tables,
+)
 
 
 def lab(chain, name):
@@ -211,7 +218,6 @@ def test_seed_closure_in_go3():
 def test_generated_set_is_a_subuniverse_and_restricts():
     c = com(2, 2)
     sub = subalgebra_generated(c, [lab(c, "a2")])
-    assert is_subuniverse(c, sub)
     small = restrict_to(c, sub)
     assert small.size == 4
     assert iso_equal(small, com(0, 1))
@@ -220,7 +226,9 @@ def test_generated_set_is_a_subuniverse_and_restricts():
 def test_non_closed_subset_is_not_a_subuniverse():
     c = com(2, 2)
     # a2's unit residuals land on b0, which is missing here
-    assert not is_subuniverse(c, {c.unit, lab(c, "a2")})
+    with pytest.raises(InvalidChainError) as err:
+        restrict_to(c, {c.unit, lab(c, "a2")})
+    assert "NotResiduated" in err.value.codes
 
 
 def test_restrict_to_refuses_a_product_closed_set_that_is_no_subuniverse():
@@ -235,7 +243,6 @@ def test_restrict_to_refuses_a_product_closed_set_that_is_no_subuniverse():
         (com(1, 0), {0, 2, 3}),
     ]
     for c, subset in cases:
-        assert not is_subuniverse(c, subset)
         for _ in range(2):
             with pytest.raises(InvalidChainError) as err:
                 restrict_to(c, subset)
@@ -245,11 +252,52 @@ def test_restrict_to_refuses_a_product_closed_set_that_is_no_subuniverse():
 @pytest.mark.parametrize("c, subset", [
     (validate(3, 2, ((0, 0, 0), (0, 0, 1), (0, 1, 2))), {1, 2}),  # 1 * 1 = 0
     (com(1, 1), {0, 1}),  # no unit
-], ids=["product-leaves", "no-unit"])
+    # -1 would read the top row, and the table left over breaks the unit law
+    (go(2), {-1, 2}),
+    (go(2), {2, 5}),
+], ids=["product-leaves", "no-unit", "negative", "past-the-top"])
 def test_restrict_to_refuses_a_set_that_is_not_a_submonoid(c, subset):
-    assert not is_subuniverse(c, subset)
     with pytest.raises(ValueError):
         restrict_to(c, subset)
+
+
+def test_restrict_to_accepts_exactly_the_closed_sets_up_to_size_five():
+    # every set holding the unit, judged on the raw table and brute-force
+    # residuals: a closed set gives its subalgebra, a product that escapes is
+    # a ValueError even where a residual escapes too, and otherwise the
+    # witness is the first pair in sorted order whose residual escapes
+    seen = {"closed": 0, "product": 0, "both": 0, "residual": 0}
+    for n in range(1, 6):
+        for c in enumerate_chains(n):
+            left, right = residual_tables(c)
+            others = [x for x in c.elements() if x != c.unit]
+            for mask in range(1 << len(others)):
+                subset = sorted([c.unit] + [x for i, x in enumerate(others) if mask >> i & 1])
+                inside = set(subset)
+                product = any(c.mul(x, y) not in inside for x in subset for y in subset)
+                escapes = [
+                    (x, y) for x in subset for y in subset
+                    if left[x][y] not in inside or right[x][y] not in inside
+                ]
+                if product:
+                    seen["both" if escapes else "product"] += 1
+                    with pytest.raises(ValueError, match="multiplication"):
+                        restrict_to(c, reversed(subset))
+                elif escapes:
+                    seen["residual"] += 1
+                    with pytest.raises(InvalidChainError) as err:
+                        restrict_to(c, reversed(subset))
+                    assert err.value.violations == (
+                        Violation("NotResiduated", ("residual", *escapes[0])),
+                    )
+                else:
+                    seen["closed"] += 1
+                    sub = restrict_to(c, reversed(subset))
+                    assert sub.unit == subset.index(c.unit)
+                    assert sub.mult == tuple(
+                        tuple(subset.index(c.mul(x, y)) for y in subset) for x in subset
+                    )
+    assert min(seen.values()) > 0, seen
 
 
 # --- isomorphism ------------------------------------------------------

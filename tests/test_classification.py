@@ -250,19 +250,19 @@ def test_equal_verdicts_share_their_records():
     third = ap_verdict(variant)
     assert third.audit is first.audit and third.refutation is first.refutation
     assert third.witness == first.witness and third.witness is not first.witness
-    fourth = ap_verdict(ChainClass.from_chains(variant.members))
+    fourth = ap_verdict(ChainClass(variant.members))
     assert fourth.audit is first.audit and fourth.witness is third.witness
     cls = parse_class("fin:1,0,1+e:1")
     has_ap = ap_verdict(hs_closure(class_members(cls)))
     assert has_ap is ap_verdict(hs_closure(class_members(cls)))
     assert has_ap is ap_verdict(hs_closure(relabeled(c, "t") for c in class_members(cls)))
     # a set built without hs_closure gets an equal verdict of its own
-    assert has_ap == ap_verdict(ChainClass.from_chains(class_members(cls)))
+    assert has_ap == ap_verdict(ChainClass(class_members(cls)))
 
 
 def test_every_canonical_class_is_hs_closed_at_bounded_scale():
     for cls in all_sixty():
-        assert ChainClass.from_chains(class_members(cls, 8)).is_hs_closed()
+        assert ChainClass(class_members(cls, 8)).is_hs_closed()
 
 
 def test_is_hs_closed_matches_the_reference_closure_on_every_small_set():
@@ -273,7 +273,7 @@ def test_is_hs_closed_matches_the_reference_closure_on_every_small_set():
     closed = 0
     for r in range(len(chains) + 1):
         for subset in combinations(chains, r):
-            K = ChainClass.from_chains(subset)
+            K = ChainClass(subset)
             want = bool(subset) and reference_hs_closure(subset).signatures() == K.signatures()
             assert K.is_hs_closed() == want
             closed += want
@@ -305,7 +305,7 @@ def test_classifier_accepts_every_finite_canonical_class():
     for cls in all_sixty():
         if not cls.is_finite:
             continue
-        K = ChainClass.from_chains(class_members(cls, cls.max_member_size))
+        K = ChainClass(class_members(cls, cls.max_member_size))
         assert classify(K) == cls
 
 
@@ -315,7 +315,7 @@ def small_closed_sets() -> list:
     chains = []
     for n in range(1, 6):
         chains.extend(enumerate_chains(n, ("commutative", "idempotent")))
-    return [ChainClass.from_chains(members) for members in _hs_closed_sets(chains)]
+    return [ChainClass(members) for members in _hs_closed_sets(chains)]
 
 
 def relabeled(chain, prefix: str):
@@ -371,7 +371,7 @@ def small_sets_and_answers():
     """The 643 sets of small_closed_sets, then each again with every
     member relabeled, and the reference span search's answer for each."""
     sets = small_closed_sets()
-    sets += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in sets]
+    sets += [ChainClass(relabeled(c, "v") for c in K.members) for K in sets]
     return sets, [refutation(reference_find_refuting_span(K)) for K in sets]
 
 
@@ -470,20 +470,17 @@ def test_both_span_searches_share_one_completion_table():
 
 def test_a_chain_class_keeps_its_members_in_canonical_order():
     # the span search and the audit scan K.members as they are, so the
-    # constructor, not from_chains alone, must canonicalize them
+    # constructor must canonicalize them
     rng = random.Random(5)
     for K in seeded_closures():
         pool = [*K.members, *(relabeled(c, "x") for c in K.members), *K.members]
         chains = rng.sample(pool, len(pool))
-        direct, built = ChainClass(members=chains), ChainClass.from_chains(chains)
+        direct = ChainClass(members=chains)
         firsts = {}
         for c in chains:
             firsts.setdefault(c.signature, c)
         assert direct.members == tuple(canonical_order(chains))
         assert all(c is firsts[c.signature] for c in direct.members)
-        assert refutation(find_refuting_span(direct)) == refutation(find_refuting_span(built))
-        assert closure_rule_violations(direct) == closure_rule_violations(built)
-        assert ap_verdict(direct).as_dict() == ap_verdict(built).as_dict()
 
 
 def below_first(size, unit):
@@ -514,9 +511,9 @@ def test_canonical_order_is_size_then_signature_order():
 
 def test_classifier_requires_a_closed_input():
     with pytest.raises(NotHSClosed):
-        classify(ChainClass.from_chains([com(1, 1)]))
+        classify(ChainClass([com(1, 1)]))
     with pytest.raises(NotHSClosed):
-        ap_verdict(ChainClass.from_chains([go(2), TRIVIAL]))
+        ap_verdict(ChainClass([go(2), TRIVIAL]))
 
 
 # --- closure-rule audit --------------------------------------------------
@@ -580,7 +577,7 @@ def test_rule_audit_matches_the_reference_audit():
     # the indexed audit against a plain reading of the seven rules,
     # premises included
     sets = small_closed_sets() + seeded_closures()
-    sets += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in sets]
+    sets += [ChainClass(relabeled(c, "v") for c in K.members) for K in sets]
     for K in sets:
         got = [v.as_dict() for v in closure_rule_violations(K)]
         assert got == [v.as_dict() for v in reference_closure_rule_violations(K)]
@@ -594,7 +591,7 @@ AUDIT_DIGEST = "3d45a53afdaa59c34bc8c3325e6aa9e267deadf342220be6be11689f6c2801af
 
 def test_rule_audits_match_the_pinned_digest():
     sets = small_closed_sets() + seeded_closures()
-    sets += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in sets]
+    sets += [ChainClass(relabeled(c, "v") for c in K.members) for K in sets]
     audits = [[v.as_dict() for v in closure_rule_violations(K)] for K in sets]
     blob = json.dumps(audits, ensure_ascii=False, sort_keys=True).encode()
     assert len(sets) == 2 * (643 + 25) and sum(map(len, audits)) == 28470
@@ -603,7 +600,7 @@ def test_rule_audits_match_the_pinned_digest():
 
 def test_rule_audit_is_clean_on_every_canonical_class():
     for cls in all_sixty():
-        K = ChainClass.from_chains(class_members(cls, 9))
+        K = ChainClass(class_members(cls, 9))
         assert closure_rule_violations(K) == ()
 
 
@@ -653,7 +650,7 @@ def test_the_verdicts_of_two_large_closures_match_the_pinned_digest():
 
 
 def test_every_interned_table_is_a_chain():
-    # the table search and restrict_to intern their tables without checking
+    # the table search and _restrict intern their tables without checking
     # them; an oracle that shares no code with either reads every table back
     for n in range(1, 8):
         enumerate_chains(n)
@@ -673,7 +670,7 @@ def closures():
     """hs_closure of the 643 small HS-closed sets and of their relabeled
     copies, then the 25 seeded closures."""
     small = small_closed_sets()
-    small += [ChainClass.from_chains(relabeled(c, "v") for c in K.members) for K in small]
+    small += [ChainClass(relabeled(c, "v") for c in K.members) for K in small]
     return [hs_closure(K.members) for K in small] + seeded_closures()
 
 
@@ -690,9 +687,9 @@ def test_a_closure_remembers_its_verdict(closures):
     cold = []
     for K in closures:
         # the completion table starts over before every search, and
-        # from_chains builds a K that remembers nothing
+        # the constructor builds a K that remembers nothing
         clear_completion_table()
-        cold.append(verdict_record(ap_verdict(ChainClass.from_chains(K.members))))
+        cold.append(verdict_record(ap_verdict(ChainClass(K.members))))
     warm = [ap_verdict(K) for K in closures]
     assert all(ap_verdict(K) is verdict for K, verdict in zip(closures, warm))
     assert [verdict_record(verdict) for verdict in warm] == cold
@@ -726,7 +723,7 @@ def test_a_label_variant_takes_over_the_verdict_worked_out_before(monkeypatch):
     assert sum(isinstance(verdict, NoAP) for _, verdict in carried) == 643 - 11 + 13
     _memo.clear()
     for members, verdict in carried:
-        fresh = ap_verdict(ChainClass.from_chains(members))
+        fresh = ap_verdict(ChainClass(members))
         assert fresh is not verdict
         assert verdict_record(fresh) == verdict_record(verdict)
         if isinstance(fresh, NoAP):
@@ -739,7 +736,7 @@ def test_a_fresh_verdict_builds_the_signature_set_once(monkeypatch):
     # classify and the audit share one set; once the verdict is kept, K lets
     # the set go, and signatures() builds an equal one again
     _memo.clear()  # so no earlier closure's verdict is carried over
-    K = ChainClass.from_chains(hs_closure([go(2), com(1, 0)]).members)
+    K = ChainClass(hs_closure([go(2), com(1, 0)]).members)
     classification._finite_classes()
     decomposed = []
     monkeypatch.setattr(
@@ -753,7 +750,7 @@ def test_a_fresh_verdict_builds_the_signature_set_once(monkeypatch):
 
 
 def test_classify_does_not_walk_a_closure_that_hs_closure_built(monkeypatch, closures):
-    want = [classify(ChainClass.from_chains(K.members)) for K in closures]
+    want = [classify(ChainClass(K.members)) for K in closures]
 
     def refuse(self):
         raise AssertionError("walked a set that hs_closure built")
@@ -767,7 +764,7 @@ def test_classify_does_not_walk_a_closure_that_hs_closure_built(monkeypatch, clo
 def test_an_unclosed_or_empty_set_is_refused_on_every_call(capsys, tmp_path):
     from resichain.cli import main
 
-    for K in (ChainClass.from_chains([com(1, 1)]), hs_closure([])):
+    for K in (ChainClass([com(1, 1)]), hs_closure([])):
         for _ in range(2):
             with pytest.raises(NotHSClosed):
                 classify(K)
@@ -785,7 +782,7 @@ def test_what_a_closure_remembers_is_not_part_of_its_value():
     for generators in ([go(2)], [com(1, 1)]):
         K = hs_closure(generators)
         ap_verdict(K)
-        same = ChainClass.from_chains(K.members)
+        same = ChainClass(K.members)
         assert same == K and hash(same) == hash(K) and repr(same) == repr(K)
 
 
@@ -818,7 +815,7 @@ def generator_lists() -> list:
 def test_hs_closure_builds_its_members_in_canonical_order():
     # hs_closure sorts its members itself and does not sort them again
     for K in seeded_closures():
-        rebuilt = ChainClass.from_chains(K.members).members
+        rebuilt = ChainClass(K.members).members
         assert K.members == rebuilt and all(x is y for x, y in zip(K.members, rebuilt))
 
 

@@ -215,6 +215,9 @@ CONTRACT_CASES = [
     (["verify", "lemma:embedding-criterion", "--max-size", "-3"], None, 2),
     (["verify", "lemma:star-involution", "--max-size", "0"], None, 2),
     (["verify", "lemma:ap-verdict", "--max-size", "0"], None, 2),
+    # size 7 has about 3.8e10 HS-closed sets, so the suite would never end
+    (["verify", "lemma:ap-verdict", "--max-size", "7"], None, "SizeTooLarge"),
+    (["verify", "all", "--max-size", "7"], None, "SizeTooLarge"),
     (["verify", "lemma:counting", "--jobs", "0"], None, 2),
     (["verify", "lemma:counting", "--jobs", "-1"], None, 2),
     # 0 is a bound like any other, not "no bound"
@@ -262,10 +265,12 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
 
 
 def run_interpreter(args, stdin=None, **env):
-    """Run a fresh interpreter that imports resichain from this checkout."""
+    """Run a fresh interpreter that imports resichain from this checkout; a
+    call that has not ended after 120 s fails the test instead of hanging it."""
     env = dict(os.environ, PYTHONPATH=str(Path(resichain.__file__).parents[1]), **env)
     return subprocess.run(
-        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env,
+        timeout=120,
     )
 
 

@@ -17,12 +17,12 @@ PUBLIC = {
     "chain": [
         "ELL", "LEFT", "R", "RIGHT", "STAR", "TRIVIAL", "ChainPredicates", "FiniteChain",
         "canonical_signature", "chain_from_json", "derived", "enumerate_chains",
-        "enumeration_cap", "is_subuniverse", "iso_equal", "predicates", "residual",
+        "enumeration_cap", "iso_equal", "predicates", "residual",
         "restrict_to", "signature_hex", "subalgebra_generated", "validate",
     ],
     "constructors": ["com", "go", "nested_sum"],
     "morphisms": [
-        "ChainMap", "Congruence", "congruence_from_kernel", "congruences", "embeds",
+        "ChainMap", "Congruence", "congruence_from_kernel", "congruences",
         "enumerate_embeddings", "enumerate_homomorphisms", "is_embedding",
         "is_homomorphism", "quotient",
     ],
@@ -63,7 +63,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_the_pinned_list_has_every_public_name():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 106
+    assert len(NAMES) == len({name for _, name in NAMES}) == 104
 
 
 @pytest.mark.parametrize("module,name", NAMES, ids=[name for _, name in NAMES])
