@@ -22,7 +22,7 @@ from ._memo import Memo, remembered
 from ._record import Record
 from .chain import FiniteChain, _restrict, subalgebra_generated
 from .decomposition import DecompositionSignature, decompose, recompose
-from .errors import NotHSClosed
+from .errors import NotHSClosed, NotIdempotent
 from .morphisms import ChainMap, _quotients, embedding_images
 from .amalgamation import CandidatePool, Refuted, Span, _completed_in, canonical_order
 
@@ -277,40 +277,20 @@ class ChainClass(Record):
         return bool(keys)
 
 
-def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
-    """Every set over 0..n-1 that a closure operator fixes, as a bitmask,
-    each once: start is the least fixed set, close(mask, x) the least one
-    holding mask and x. Depth first over the elements in order, leaving x
-    out before adding it; a branch ends where adding x brings back one left out."""
-    stack = [(0, start, 0)]
-    while stack:
-        x, chosen, out = stack.pop()
-        while x < n and chosen >> x & 1:
-            x += 1
-        if x == n:
-            yield chosen
-            continue
-        grown = close(chosen, x)
-        if not grown & out:
-            stack.append((x + 1, grown, out))
-        stack.append((x + 1, chosen, out | 1 << x))
-
-
 def _hs_images(chain: FiniteChain) -> tuple:
-    """Every subalgebra, in the order of their element bitmasks, then every
-    quotient, of one chain (the chain itself among them). Not remembered:
-    its callers ask about once per chain (_closure_of remembers the closure),
-    and each image is an interned chain, so a call gives the same objects."""
-    def members(mask: int) -> list:
-        return [x for x in chain.elements() if mask >> x & 1]
-
-    def close(mask: int, x: int) -> int:
-        return sum(1 << y for y in subalgebra_generated(chain, members(mask) + [x]))
-
-    subuniverses = sorted(_closed_sets(chain.size, close, close(0, chain.unit)))
-    images = [_restrict(chain, members(m)) for m in subuniverses]
-    images.extend(q for q, _ in _quotients(chain))
-    return tuple(images)
+    """The maximal proper subalgebras of an idempotent chain, in the order
+    of their element bitmasks, then its quotients (itself among them);
+    NotIdempotent first on any other chain. ⟨X⟩ is the unit plus the ell
+    and r orbits of X, so S_x = {y : x ∉ ⟨y⟩} is the largest subuniverse
+    that omits x, and each proper one lies in a maximal S_x."""
+    if not chain.tables.predicates.idempotent:
+        raise NotIdempotent()
+    orbits = [subalgebra_generated(chain, [y]) for y in chain.elements()]
+    largest = {sum(1 << y for y, orbit in enumerate(orbits) if x not in orbit)
+               for x in chain.elements() if x != chain.unit}
+    maximal = sorted(s for s in largest if not any(s != t and s | t == t for t in largest))
+    images = [_restrict(chain, [y for y in chain.elements() if s >> y & 1]) for s in maximal]
+    return tuple(images) + tuple(q for q, _ in _quotients(chain))
 
 
 # Equal closures come back as one shared object: members tuple -> the
@@ -336,9 +316,11 @@ def _closure_of(chain: FiniteChain) -> dict:
 
 
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
-    """Least superset closed under subalgebras and quotients. A closure
-    whose members are the very chain objects of an earlier one returns
-    that earlier ChainClass, with the verdict it remembers. Label variants
+    """Least superset closed under subalgebras and quotients, for
+    idempotent chains: a generator that is not idempotent raises
+    NotIdempotent before any image of it is built. A closure whose members
+    are the very chain objects of an earlier one returns that earlier
+    ChainClass, with the verdict it remembers. Label variants
     compare equal, so each gets its own, and ap_verdict carries the verdict
     of one variant over to the others. A non-empty result is marked
     HS-closed, so classify does not check it again.

@@ -330,8 +330,9 @@ def cmd_amalgamate(args) -> int:
 
 def _load_generators(path):
     """A list of chains, or an object with a "generators" list. A chain
-    over the enumeration cap is refused before its closure is built: a
-    Gödel chain has 2^(n−1) subalgebras, and the closure builds each one."""
+    over the enumeration cap is refused before its closure is built: the
+    closure's member count grows fast with the generator's size (265 for a
+    16-element nested sum, 9,865 for a 26-element one)."""
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("generators")
@@ -440,7 +441,7 @@ def cmd_ppartition(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .selfcheck import AP_VERDICT_MAX_SIZE, SUITES
+    from .selfcheck import SUITE_MAX_SIZE, SUITES
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
@@ -453,10 +454,9 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         _usage_error("--jobs must be at least 1")
     check_cap(args.max_size)
-    if "lemma:ap-verdict" in names and args.max_size > AP_VERDICT_MAX_SIZE:
-        raise SizeTooLarge(
-            f"lemma:ap-verdict size {args.max_size} exceeds its limit {AP_VERDICT_MAX_SIZE}"
-        )
+    for name, limit in SUITE_MAX_SIZE.items():
+        if name in names and args.max_size > limit:
+            raise SizeTooLarge(f"{name} size {args.max_size} exceeds its limit {limit}")
     ok = True
     for name in names:
         checked, failures = SUITES[name](args.max_size, args.seed, args.jobs)

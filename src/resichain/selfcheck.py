@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from . import zchain
 from .amalgamation import (
@@ -40,7 +41,6 @@ from .classification import (
     _AUDIT_SIZE_CAP,
     ChainClass,
     RuleViolation,
-    _closed_sets,
     _hs_images,
     classify,
     find_refuting_span,
@@ -401,12 +401,10 @@ def reference_closure_rule_violations(K):
 
 def reference_hs_images(chain) -> tuple:
     """Every subalgebra, then every quotient, of one chain, in the order
-    hs_closure walks them. The subalgebras come from a scan of every subset
-    of the non-unit elements, in mask order, each checked for closure
-    against the raw table and brute-force residuals; the quotients come
-    from the library's congruences, smallest kernel first. validate
-    interns chains, so an image equal to the library's, labels and all, is
-    the very same object."""
+    reference_hs_closure walks them. The subalgebras are those of
+    _subuniverse_scan; the quotients come from the library's congruences,
+    smallest kernel first. validate interns chains, so an image equal to
+    the library's, labels and all, is the very same object."""
     return _reference_hs_images(chain, chain.labels)
 
 
@@ -414,20 +412,41 @@ def reference_hs_images(chain) -> tuple:
 def _reference_hs_images(chain, labels) -> tuple:
     # remembered for the tests' repeated walks; label variants compare
     # equal, so the key keeps their images apart
+    subalgebras = tuple(restrict_to(chain, subset) for subset in _subuniverse_scan(chain))
+    return subalgebras + _reference_quotients(chain)
+
+
+def reference_hs_step(chain) -> tuple:
+    """_hs_images's contract on an idempotent chain, worked out the plain
+    way: the maximal proper subuniverses among those of _subuniverse_scan,
+    in its order, each as a subalgebra, then every quotient as in
+    reference_hs_images. Only the tests call it."""
+    proper = [s for s in _subuniverse_scan(chain) if len(s) < chain.size]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    return tuple(restrict_to(chain, s) for s in maximal) + _reference_quotients(chain)
+
+
+def _subuniverse_scan(chain) -> list:
+    """Every subuniverse of one chain, as a set, from a scan of every
+    subset of the non-unit elements in mask order, each checked for closure
+    against the raw table and brute-force residuals. Each holds the unit,
+    so this is also the order of their element bitmasks."""
     left, right = residual_tables(chain)
     others = [x for x in chain.elements() if x != chain.unit]
-    images = []
+    found = []
     for mask in range(1 << len(others)):
-        subset = [chain.unit] + [x for i, x in enumerate(others) if mask >> i & 1]
-        closed = set(subset)
+        subset = {chain.unit} | {x for i, x in enumerate(others) if mask >> i & 1}
         if all(
-            chain.mul(x, y) in closed and left[x][y] in closed and right[x][y] in closed
+            chain.mul(x, y) in subset and left[x][y] in subset and right[x][y] in subset
             for x in subset
             for y in subset
         ):
-            images.append(restrict_to(chain, subset))
-    images.extend(quotient(chain, cong)[0] for cong in congruences(chain))
-    return tuple(images)
+            found.append(subset)
+    return found
+
+
+def _reference_quotients(chain) -> tuple:
+    return tuple(quotient(chain, cong)[0] for cong in congruences(chain))
 
 
 def reference_hs_closure(generators):
@@ -630,6 +649,25 @@ def suite_component_amalgams(max_size: int, seed: int, jobs: int):
     return checked, failures
 
 
+def _closed_sets(n: int, close: Callable, start: int) -> Iterator[int]:
+    """Every set over 0..n-1 that a closure operator fixes, as a bitmask,
+    each once: start is the least fixed set, close(mask, x) the least one
+    holding mask and x. Depth first over the elements in order, leaving x
+    out before adding it; a branch ends where adding x brings back one left out."""
+    stack = [(0, start, 0)]
+    while stack:
+        x, chosen, out = stack.pop()
+        while x < n and chosen >> x & 1:
+            x += 1
+        if x == n:
+            yield chosen
+            continue
+        grown = close(chosen, x)
+        if not grown & out:
+            stack.append((x + 1, grown, out))
+        stack.append((x + 1, chosen, out | 1 << x))
+
+
 def _hs_closed_sets(chains: list):
     """Every non-empty HS-closed subset of ``chains``, which lists chains
     in size order and holds the HS-images of each: the unions of reaches
@@ -649,10 +687,6 @@ def _hs_closed_sets(chains: list):
             yield [c for j, block in enumerate(blocks) for c in block[mask >> 8 * j & 255]]
 
 
-# the suite visits every HS-closed set: 267,195 at size 6, about 3.8e10 at 7
-AP_VERDICT_MAX_SIZE = 6
-
-
 def suite_ap_verdict(max_size: int, seed: int, jobs: int):
     # the classifier accepts a set exactly when no span over it lacks a
     # one-sided completion inside it
@@ -670,6 +704,13 @@ def suite_ap_verdict(max_size: int, seed: int, jobs: int):
             failures.append(f"classify and the span search disagree on {{{sigs}}}")
     return checked, failures
 
+
+# the largest --max-size of each suite that has a limit, which verify
+# enforces before any suite runs, naming the first limit here that a run
+# passes. lemma:ap-verdict visits every HS-closed set: 267,195 at size 6,
+# about 3.8e10 at 7. lemma:embedding-criterion checks every injective map
+# between idempotent chains: 2,053,839 at size 6, about 1.07e8 at 7.
+SUITE_MAX_SIZE = {"lemma:ap-verdict": 6, "lemma:embedding-criterion": 6}
 
 SUITES = {
     "lemma:embedding-criterion": suite_embedding_criterion,

@@ -15,6 +15,7 @@ from resichain import (
     HasAP,
     NoAP,
     NotHSClosed,
+    NotIdempotent,
     OMEGA,
     Refuted,
     all_sixty,
@@ -54,7 +55,7 @@ from resichain.selfcheck import (
     reference_find_amalgam,
     reference_find_refuting_span,
     reference_hs_closure,
-    reference_hs_images,
+    reference_hs_step,
     suite_ap_verdict,
 )
 
@@ -835,16 +836,32 @@ def test_hs_closure_keeps_the_chains_that_the_walk_keeps():
 
 
 def test_hs_step_lists_the_reference_images_of_every_small_chain():
-    # every residuated chain up to size 6, most of them not idempotent, so
-    # their subalgebras close under the product and both residuals, and
-    # every idempotent chain of size 7
+    # every residuated chain up to size 6 and every idempotent chain of
+    # size 7: an idempotent one steps to its maximal proper subalgebras,
+    # then its quotients; the others, whose subalgebras close under the
+    # product too, are refused
     chains = [c for n in range(1, 7) for c in enumerate_chains(n)]
     chains += enumerate_chains(7, filters=("idempotent",))
     assert len(chains) == 679 + 120
-    assert sum(not c.tables.predicates.idempotent for c in chains) == 609
+    assert sum(c.tables.predicates.idempotent for c in chains) == 190
     for c in chains:
-        got, want = classification._hs_images(c), reference_hs_images(c)
-        assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
+        if c.tables.predicates.idempotent:
+            got, want = classification._hs_images(c), reference_hs_step(c)
+            assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
+        else:
+            with pytest.raises(NotIdempotent):
+                classification._hs_images(c)
+
+
+def test_hs_closure_refuses_a_chain_that_is_not_idempotent_before_it_builds_any(monkeypatch):
+    # the three-element Łukasiewicz chain: 1·1 = 0
+    luk = validate(3, 2, [[0, 0, 0], [0, 0, 1], [0, 1, 2]])
+    built = []
+    monkeypatch.setattr(classification, "_restrict", lambda *args: built.append(args))
+    monkeypatch.setattr(classification, "_quotients", lambda *args: built.append(args) or [])
+    with pytest.raises(NotIdempotent):
+        hs_closure([luk])
+    assert built == []
 
 
 def test_hs_closure_does_not_depend_on_the_closures_built_before():

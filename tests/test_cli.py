@@ -186,6 +186,10 @@ def test_enumeration_cap_comes_from_the_environment(capsys, monkeypatch):
     assert got["error"] == "SizeTooLarge"
 
 
+# the table of a four-element chain with unit 3 that is neither idempotent
+# nor commutative
+NONIDEMPOTENT = [[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 2, 2], [0, 1, 2, 3]]
+
 # CHAIN, NO_UNIT, LIST, INFINITE and MISSING stand for paths the test makes;
 # want is 2 for a usage error, else the error code of the one exit-1 line
 CONTRACT_CASES = [
@@ -208,9 +212,12 @@ CONTRACT_CASES = [
     (["check", "LIST"], None, "MalformedInput"),
     (["check", "INFINITE"], None, "MalformedInput"),
     (["make", "go:99999999999"], None, "SizeTooLarge"),
-    # a 25-element generator: its subalgebra scan alone would visit 2^24 subsets
+    # a 25-element generator, over the default cap
     (["classify", "GO24"], None, "SizeTooLarge"),
     (["ap", "GO24"], None, "SizeTooLarge"),
+    # the closure takes idempotent chains only, and refuses before it walks
+    (["classify", "NONIDEM"], None, "NotIdempotent"),
+    (["ap", "NONIDEM"], None, "NotIdempotent"),
     (["verify", "lemma:counting", "--max-size", "0"], None, 2),
     (["verify", "lemma:embedding-criterion", "--max-size", "-3"], None, 2),
     (["verify", "lemma:star-involution", "--max-size", "0"], None, 2),
@@ -218,6 +225,8 @@ CONTRACT_CASES = [
     # size 7 has about 3.8e10 HS-closed sets, so the suite would never end
     (["verify", "lemma:ap-verdict", "--max-size", "7"], None, "SizeTooLarge"),
     (["verify", "all", "--max-size", "7"], None, "SizeTooLarge"),
+    # size 7 has about 1.07e8 injective maps to check
+    (["verify", "lemma:embedding-criterion", "--max-size", "7"], None, "SizeTooLarge"),
     (["verify", "lemma:counting", "--jobs", "0"], None, 2),
     (["verify", "lemma:counting", "--jobs", "-1"], None, 2),
     # 0 is a bound like any other, not "no bound"
@@ -242,12 +251,15 @@ def test_malformed_input_keeps_the_cli_contract(tmp_path, argv, stdin, want):
     infinite.write_text(json.dumps({**data, "mult": [[float("inf")] * 5] * 5}))
     go24 = tmp_path / "go24.json"
     go24.write_text(json.dumps([go(24).to_json()]))
+    nonidem = tmp_path / "nonidem.json"
+    nonidem.write_text(json.dumps([{"size": 4, "unit": 3, "mult": NONIDEMPOTENT}]))
     files = {
         "CHAIN": chain_file(tmp_path, com(1, 1)),
         "NO_UNIT": str(no_unit),
         "LIST": str(listed),
         "INFINITE": str(infinite),
         "GO24": str(go24),
+        "NONIDEM": str(nonidem),
         "SPAN": span_file(tmp_path, crossing_span_dict()),
         "MISSING": str(tmp_path / "missing"),
     }
