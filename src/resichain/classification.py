@@ -318,9 +318,9 @@ def _closure_of(chain: FiniteChain) -> dict:
 def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     """Least superset closed under subalgebras and quotients, for
     idempotent chains: a generator that is not idempotent raises
-    NotIdempotent before any image of it is built. A closure whose members
-    are the very chain objects of an earlier one returns that earlier
-    ChainClass, with the verdict it remembers. Label variants
+    NotIdempotent before any image of any generator is built. A closure
+    whose members are the very chain objects of an earlier one returns that
+    earlier ChainClass, with the verdict it remembers. Label variants
     compare equal, so each gets its own, and ap_verdict carries the verdict
     of one variant over to the others. A non-empty result is marked
     HS-closed, so classify does not check it again.
@@ -336,8 +336,15 @@ def hs_closure(generators: Iterable[FiniteChain]) -> ChainClass:
     is already in, and adding the chains of the others' closures whose
     signatures are new keeps the very chain objects, labels included,
     that the walk keeps."""
+    generators = list(generators)
+    # the walk starts at the last generator, whose own step refuses it
+    # before it builds anything; the others are checked first, so that a
+    # refused set builds no closure
+    for g in generators[:-1]:
+        if not g.tables.predicates.idempotent:
+            raise NotIdempotent()
     pool = {}
-    for g in reversed(list(generators)):
+    for g in reversed(generators):
         key = g.signature
         if key not in pool:
             # chains already in the pool stay; g stands for its own signature

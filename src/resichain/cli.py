@@ -9,30 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .chain import (
-    ELL,
-    KNOWN_FILTERS,
-    LEFT,
-    R,
-    RIGHT,
-    STAR,
-    FiniteChain,
-    chain_from_json,
-    check_cap,
-    enumerate_chains,
-    enumeration_cap,
-    predicates,
-    residual,
-    signature_hex,
-)
-from .errors import MalformedInput, ResichainError, SizeTooLarge
+from ._cli_io import _decode, _element, _emit, _load_chain, _parsed, _read_json, _usage_error
+from ._common import ELL, LEFT, R, RIGHT, STAR, check_cap, enumeration_cap
+from .errors import ResichainError, SizeTooLarge
 
-# Only chain and errors load with the CLI. Each handler imports the rest of
-# what it uses, so a light verb does not load the classification,
-# amalgamation and self-check modules.
+# Only errors and the names in _common load with the CLI. Each handler
+# imports the rest of what it uses: the light verbs load chain and the
+# module they query, words and as-op not even chain, and the verbs that
+# search or classify live in _cli_heavy, which only they import.
 
 # the largest chain `make` builds; its table and its output grow with the
 # square of the size, and nothing checks it again (a fresh-interpreter
@@ -43,83 +29,7 @@ MAKE_MAX_SIZE = 128
 ASOP_ARITY = {"mul": 2, "residual": 2, "unary": 1, "leq": 2, "reach": 1}
 
 
-def _read_json(path):
-    try:
-        if path is None or path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise MalformedInput(f"not JSON: {exc}") from None
-    except OSError as exc:
-        _usage_error(str(exc))
-
-
-def _decode(from_json, data):
-    """Run a from_json reader; data it cannot read is a domain error."""
-    try:
-        return from_json(data)
-    except KeyError as exc:
-        raise MalformedInput(f"missing field {exc}") from None
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise MalformedInput(str(exc)) from None
-
-
-def _parsed(parse, text: str):
-    """Run a parser over argument text; text it rejects is a usage error."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        _usage_error(str(exc))
-
-
-def _usage_error(msg: str):
-    """Argument-level mistakes exit 2, like argparse does."""
-    print(msg, file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _emit(obj, args) -> None:
-    if getattr(args, "format", "json") == "table":
-        _emit_table(obj)
-    else:
-        print(json.dumps(obj))
-
-
-def _emit_table(obj, indent: str = "") -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)):
-                print(f"{indent}{k}:")
-                _emit_table(v, indent + "  ")
-            else:
-                print(f"{indent}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            _emit_table(v, indent)
-    else:
-        print(f"{indent}{obj}")
-
-
-def _load_chain(path) -> FiniteChain:
-    return _decode(chain_from_json, _read_json(path))
-
-
-def _element(chain: FiniteChain, name: str) -> int:
-    try:
-        return chain.index_of_label(name)
-    except (KeyError, ValueError):
-        pass
-    try:
-        idx = int(name)
-    except ValueError:
-        _usage_error(f"unknown element {name!r}")
-    if not 0 <= idx < chain.size:
-        _usage_error(f"element index {idx} out of range")
-    return idx
-
-
-def parse_make_spec(spec: str) -> FiniteChain:
+def parse_make_spec(spec: str):
     """go:N, com:M,N, or sum:PART+PART+... with parts in the same syntax.
     The size is read off the whole spec before any table is built."""
     size, build = _make_plan(spec)
@@ -160,6 +70,8 @@ def cmd_make(args) -> int:
 
 
 def cmd_show(args) -> int:
+    from .chain import signature_hex
+
     c = _load_chain(args.file)
     if args.json or args.format == "json":
         print(json.dumps(c.to_json()))
@@ -177,12 +89,16 @@ def cmd_show(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .chain import predicates
+
     c = _load_chain(args.file)
     _emit(predicates(c).as_dict(), args)
     return 0
 
 
 def cmd_residual(args) -> int:
+    from .chain import residual
+
     c = _load_chain(args.file)
     x, y = _element(c, args.x), _element(c, args.y)
     z = residual(c, x, y, args.side)
@@ -259,113 +175,6 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    if args.size < 1:
-        _usage_error("size must be at least 1")
-    chains = enumerate_chains(args.size, [f for f in KNOWN_FILTERS if getattr(args, f)])
-    if args.format == "table":
-        print(f"count: {len(chains)}")
-    else:
-        _emit(
-            {"size": args.size, "count": len(chains), "chains": [c.to_json() for c in chains]},
-            args,
-        )
-    return 0
-
-
-def cmd_amalgamate(args) -> int:
-    from .amalgamation import (
-        AmalgamResult,
-        Refuted,
-        amalgamate_components,
-        find_amalgam,
-        span_from_json,
-        verify_amalgam,
-    )
-
-    if args.construct:
-        # the zipper builds one amalgam and searches no pool
-        search = {"--bound": args.bound is not None, "--class": args.cls,
-                  "--one-sided": args.one_sided}
-        given = [name for name, value in search.items() if value]
-        if given:
-            _usage_error(f"--construct does not take {', '.join(given)}")
-    span = _decode(span_from_json, _read_json(args.span))
-    bound = span.B.size + span.C.size if args.bound is None else args.bound
-    if args.construct:
-        res = amalgamate_components(span)
-        ok = verify_amalgam(span, res)
-        out = res.to_json()
-        out["verified"] = ok
-        _emit({"found": True, **out}, args)
-        return 0
-    if bound < max(span.B.size, span.C.size):
-        _usage_error(f"--bound {bound} is below the span's own chains")
-    if args.cls:
-        from .classification import class_members, parse_class
-
-        # class_members generates exactly the class, so no membership test.
-        # The scan goes by size, so the first certificate among the members
-        # up to some size is the first of all, and only the last pool is whole.
-        cls = _parsed(parse_class, args.cls)
-        complete = cls.is_finite and bound >= cls.max_member_size
-        sizes = range(max(span.B.size, span.C.size), bound + 1)
-        pools = ((n, class_members(cls, max_size=n)) for n in sizes)
-    else:
-        complete = False
-        pools = [(bound, None)]
-    for size, candidates in pools:
-        res = find_amalgam(span, lambda d: True, size, one_sided=args.one_sided,
-                           complete=complete and size == bound, candidates=candidates)
-        if isinstance(res, AmalgamResult):
-            break
-    if isinstance(res, AmalgamResult):
-        _emit({"found": True, **res.to_json()}, args)
-    elif isinstance(res, Refuted):
-        _emit({"found": False, "refuted": True, "checked": res.checked}, args)
-    else:
-        _emit({"found": False, "refuted": False, "size_bound": res.size_bound}, args)
-    return 0
-
-
-def _load_generators(path):
-    """A list of chains, or an object with a "generators" list. A chain
-    over the enumeration cap is refused before its closure is built: the
-    closure's member count grows fast with the generator's size (265 for a
-    16-element nested sum, 9,865 for a 26-element one)."""
-    data = _read_json(path)
-    if isinstance(data, dict):
-        data = data.get("generators")
-    if not isinstance(data, list):
-        raise MalformedInput('expected a list of chains or {"generators": [...]}')
-    chains = [_decode(chain_from_json, d) for d in data]
-    for c in chains:
-        check_cap(c.size)
-    return chains
-
-
-def cmd_classify(args) -> int:
-    from .classification import ap_verdict, hs_closure
-
-    K = hs_closure(_load_generators(args.generators))
-    _emit({"class": None, **ap_verdict(K).as_dict()}, args)
-    return 0
-
-
-def cmd_ap(args) -> int:
-    from .classification import ap_verdict, hs_closure, parse_class
-
-    if bool(args.cls) == bool(args.generators):
-        _usage_error("ap needs exactly one of a generators file and --class")
-    if args.cls:
-        cls = _parsed(parse_class, args.cls)
-        _emit({"ap": True, "class": cls.text()}, args)
-        return 0
-    K = hs_closure(_load_generators(args.generators))
-    _emit(ap_verdict(K).as_dict(), args)
-    return 0
-
-
 def cmd_words(args) -> int:
     from .words import is_minimal, parse_word, preorder_leq
 
@@ -421,201 +230,118 @@ def cmd_pcondition(args) -> int:
     return 0
 
 
-def cmd_ppartition(args) -> int:
-    from .pointed import CONDITIONS, condition_of, cross_embedding_count, pointed_from_json
-
-    try:
-        names = sorted(n for n in os.listdir(args.dir) if n.endswith(".json"))
-    except OSError as exc:
-        _usage_error(str(exc))
-    pool = [
-        (name, _decode(pointed_from_json, _read_json(os.path.join(args.dir, name))))
-        for name in names
-    ]
-    buckets = {c: [] for c in CONDITIONS}
-    for name, p in pool:
-        buckets[condition_of(p)].append(name)
-    crossings = cross_embedding_count([p for _, p in pool])
-    _emit({"buckets": buckets, "cross_embeddings": crossings}, args)
-    return 0
+def _arg(*flags, **options) -> tuple:
+    return flags, options
 
 
-def cmd_verify(args) -> int:
-    from .selfcheck import SUITE_MAX_SIZE, SUITES
+_FILE = _arg("file", nargs="?")
 
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            _usage_error(
-                f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
-            )
-    if args.max_size < 1:
-        _usage_error("--max-size must be at least 1")
-    if args.jobs < 1:
-        _usage_error("--jobs must be at least 1")
-    check_cap(args.max_size)
-    for name, limit in SUITE_MAX_SIZE.items():
-        if name in names and args.max_size > limit:
-            raise SizeTooLarge(f"{name} size {args.max_size} exceeds its limit {limit}")
-    ok = True
-    for name in names:
-        checked, failures = SUITES[name](args.max_size, args.seed, args.jobs)
-        # a suite that checked nothing proves nothing
-        ok = ok and checked > 0 and not failures
-        _emit(
-            {
-                "suite": name,
-                "checked": checked,
-                "passed": checked - len(failures),
-                "failed": len(failures),
-                "failures": failures[:10],
-            },
-            args,
-        )
-    return 0 if ok else 1
+# One declaration per verb, from which build_parser makes both the full
+# parser and a one-verb parser: verb -> (help, handler, arguments). Every
+# verb takes --format as well. A handler given by name is in _cli_heavy.
+_VERBS = {
+    "make": ("construct go:N, com:M,N, or sum:...", cmd_make, [_arg("spec")]),
+    "show": ("render a chain", cmd_show, [_FILE, _arg("--json", action="store_true")]),
+    "check": ("predicate report", cmd_check, [_FILE]),
+    "residual": ("x\\y or y/x by element label", cmd_residual, [
+        _arg("x"), _arg("y"), _arg("--side", choices=(LEFT, RIGHT), default=LEFT), _FILE,
+    ]),
+    "decompose": ("nested-sum normal form", cmd_decompose, [_FILE]),
+    "embed": ("list embeddings A -> B", cmd_embed, [_arg("a"), _arg("b")]),
+    "homs": ("list homomorphisms A -> B", cmd_homs, [_arg("a"), _arg("b")]),
+    "congruences": ("list congruences", cmd_congruences, [_FILE]),
+    "quotient": ("quotient by kernel interval LO,HI", cmd_quotient, [
+        _arg("--kernel", required=True), _FILE,
+    ]),
+    "enumerate": ("all chains of a size, up to isomorphism", "cmd_enumerate", [
+        _arg("size", type=int),
+        _arg("--commutative", action="store_true"),
+        _arg("--idempotent", action="store_true"),
+        _arg("--star-involutive", dest="star_involutive", action="store_true"),
+        _arg("--admissible", action="store_true"),
+    ]),
+    "amalgamate": ("complete a span from SPAN.json", "cmd_amalgamate", [
+        _arg("span"),
+        _arg("--one-sided", dest="one_sided", action="store_true"),
+        _arg("--bound", type=int),
+        _arg("--class", dest="cls"),
+        _arg("--construct", action="store_true", help="use the component zipper"),
+    ]),
+    "classify": ("classify the HS-closure of generators", "cmd_classify", [_arg("generators")]),
+    "ap": ("amalgamation verdict", "cmd_ap", [
+        _arg("generators", nargs="?"), _arg("--class", dest="cls"),
+    ]),
+    "words": ("bi-infinite word preorder and minimality", cmd_words, [
+        _arg("op", choices=("leq", "minimal")), _arg("w1"), _arg("w2", nargs="?"),
+    ]),
+    "as-op": ("operate in the symbolic chain over a 0/1 word", cmd_asop, [
+        _arg("--set", required=True, help="word naming S, e.g. per:01"),
+        _arg("op", choices=tuple(ASOP_ARITY)),
+        _arg("elements", nargs="+"),
+        _arg("--side", choices=(LEFT, RIGHT), default=LEFT),
+        _arg("--which", choices=(ELL, R, STAR), default=STAR),
+        _arg("--depth", type=int, default=3),
+    ]),
+    "pcondition": ("condition of a pointed chain", cmd_pcondition, [_FILE]),
+    "ppartition": ("partition a directory of pointed chains", "cmd_ppartition", [_arg("dir")]),
+    "verify": ("run a lemma verification suite", "cmd_verify", [
+        _arg("suite", help="suite name or 'all'"),
+        _arg("--max-size", dest="max_size", type=int, default=4),
+        _arg("--jobs", type=int, default=1),
+        _arg("--seed", type=int, default=0),
+    ]),
+}
 
 
-# ---------------------------------------------------------------------------
+class _Reparse(Exception):
+    """A one-verb parser met an argument it rejects."""
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "table"), default="json")
+class _OneVerbParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Reparse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The full parser; with a verb, a parser that holds only that verb and
+    raises _Reparse wherever the full one would print a usage error."""
+    parser = (argparse.ArgumentParser if verb is None else _OneVerbParser)(
         prog="resichain",
         description="Finite idempotent residuated chains: build, check, decompose, amalgamate, classify.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    p = subs.add_parser("make", help="construct go:N, com:M,N, or sum:...")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(handler=cmd_make)
-
-    p = subs.add_parser("show", help="render a chain")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--json", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_show)
-
-    p = subs.add_parser("check", help="predicate report")
-    p.add_argument("file", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_check)
-
-    p = subs.add_parser("residual", help="x\\y or y/x by element label")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--side", choices=(LEFT, RIGHT), default=LEFT)
-    p.add_argument("file", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_residual)
-
-    p = subs.add_parser("decompose", help="nested-sum normal form")
-    p.add_argument("file", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_decompose)
-
-    p = subs.add_parser("embed", help="list embeddings A -> B")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-    p.set_defaults(handler=cmd_embed)
-
-    p = subs.add_parser("homs", help="list homomorphisms A -> B")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-    p.set_defaults(handler=cmd_homs)
-
-    p = subs.add_parser("congruences", help="list congruences")
-    p.add_argument("file", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_congruences)
-
-    p = subs.add_parser("quotient", help="quotient by kernel interval LO,HI")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("file", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_quotient)
-
-    p = subs.add_parser("enumerate", help="all chains of a size, up to isomorphism")
-    p.add_argument("size", type=int)
-    p.add_argument("--commutative", action="store_true")
-    p.add_argument("--idempotent", action="store_true")
-    p.add_argument("--star-involutive", dest="star_involutive", action="store_true")
-    p.add_argument("--admissible", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = subs.add_parser("amalgamate", help="complete a span from SPAN.json")
-    p.add_argument("span")
-    p.add_argument("--one-sided", dest="one_sided", action="store_true")
-    p.add_argument("--bound", type=int)
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--construct", action="store_true", help="use the component zipper")
-    _add_common(p)
-    p.set_defaults(handler=cmd_amalgamate)
-
-    p = subs.add_parser("classify", help="classify the HS-closure of generators")
-    p.add_argument("generators")
-    _add_common(p)
-    p.set_defaults(handler=cmd_classify)
-
-    p = subs.add_parser("ap", help="amalgamation verdict")
-    p.add_argument("generators", nargs="?")
-    p.add_argument("--class", dest="cls")
-    _add_common(p)
-    p.set_defaults(handler=cmd_ap)
-
-    p = subs.add_parser("words", help="bi-infinite word preorder and minimality")
-    p.add_argument("op", choices=("leq", "minimal"))
-    p.add_argument("w1")
-    p.add_argument("w2", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_words)
-
-    p = subs.add_parser("as-op", help="operate in the symbolic chain over a 0/1 word")
-    p.add_argument("--set", required=True, help="word naming S, e.g. per:01")
-    p.add_argument("op", choices=tuple(ASOP_ARITY))
-    p.add_argument("elements", nargs="+")
-    p.add_argument("--side", choices=(LEFT, RIGHT), default=LEFT)
-    p.add_argument("--which", choices=(ELL, R, STAR), default=STAR)
-    p.add_argument("--depth", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(handler=cmd_asop)
-
-    p = subs.add_parser("pcondition", help="condition of a pointed chain")
-    p.add_argument("file", nargs="?")
-    _add_common(p)
-    p.set_defaults(handler=cmd_pcondition)
-
-    p = subs.add_parser("ppartition", help="partition a directory of pointed chains")
-    p.add_argument("dir")
-    _add_common(p)
-    p.set_defaults(handler=cmd_ppartition)
-
-    p = subs.add_parser("verify", help="run a lemma verification suite")
-    p.add_argument("suite", help="suite name or 'all'")
-    p.add_argument("--max-size", dest="max_size", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=cmd_verify)
-
+    for name, (text, _, arguments) in _VERBS.items():
+        if verb in (None, name):
+            sub = subs.add_parser(name, help=text)
+            for flags, options in arguments:
+                sub.add_argument(*flags, **options)
+            sub.add_argument("--format", choices=("json", "table"), default="json")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = None
+    # building one verb's parser is most of argparse's cost; an argv it
+    # rejects is parsed again in full, so the usage error reads the same
+    if argv and argv[0] in _VERBS:
+        try:
+            args = build_parser(argv[0]).parse_args(argv)
+        except _Reparse:
+            pass
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         enumeration_cap()
     except ValueError as exc:  # a bad RESICHAIN_MAX_SIZE
         _usage_error(str(exc))
+    handler = _VERBS[args.verb][1]
+    if isinstance(handler, str):
+        from . import _cli_heavy
+
+        handler = getattr(_cli_heavy, handler)
     try:
-        return args.handler(args)
+        return handler(args)
     except ResichainError as exc:
         print(json.dumps(exc.payload()))
         return 1

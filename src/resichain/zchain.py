@@ -15,8 +15,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional, Tuple
 
+from ._common import ELL, LEFT, R, RIGHT, STAR
 from ._record import Record
-from .chain import ELL, LEFT, R, RIGHT, STAR
 from .errors import StartIsUnit
 from .words import SetSpec
 

@@ -864,6 +864,23 @@ def test_hs_closure_refuses_a_chain_that_is_not_idempotent_before_it_builds_any(
     assert built == []
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_hs_closure_checks_every_generator_before_it_builds_any(monkeypatch, first):
+    # hs_closure walks the generators last first; an idempotent generator
+    # listed after a non-idempotent one must not have its closure built
+    luk = validate(3, 2, [[0, 0, 0], [0, 0, 1], [0, 1, 2]])
+    generators = [luk, com(1, 1)] if first == 0 else [com(1, 1), luk]
+    classification._closure_of.memo.clear()
+    restrict = classification._restrict
+    calls = []
+    monkeypatch.setattr(
+        classification, "_restrict", lambda *args: calls.append(args) or restrict(*args)
+    )
+    with pytest.raises(NotIdempotent):
+        hs_closure(generators)
+    assert calls == []
+
+
 def test_hs_closure_does_not_depend_on_the_closures_built_before():
     # the memo behind hs_closure starts over before every second set
     lists = generator_lists()

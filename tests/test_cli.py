@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import resichain
-from resichain import amalgamation, canonical_signature, chain_from_json, classification
-from resichain.cli import main
+from resichain import amalgamation, canonical_signature, chain_from_json, classification, cli
+from resichain.cli import build_parser, main
 from resichain.constructors import com, go, nested_sum
 from resichain.pointed import PointedChain
 from resichain.selfcheck import SUITES
@@ -316,17 +316,99 @@ def test_light_verbs_load_only_the_modules_they_use(tmp_path):
         ["words", "leq", "per:01", "per:0"],
         ["as-op", "--set", "per:01", "mul", "a:0", "b:1"],
     ]
-    heavy = {f"resichain.{m}" for m in ("classification", "amalgamation", "selfcheck", "pointed")}
+    heavy = {
+        f"resichain.{m}"
+        for m in ("classification", "amalgamation", "selfcheck", "pointed", "_cli_heavy", "_search")
+    }
     for argv in light:
         proc = run_interpreter(["-c", LOADED_MODULES, *argv])
         code, loaded = json.loads(proc.stdout)
         assert code == 0, (argv, proc.stderr)
         assert not heavy & set(loaded), (argv, loaded)
+        if argv[0] in ("words", "as-op"):
+            assert "resichain.chain" not in loaded, (argv, loaded)
         if argv[0] == "check":
             assert loaded == [
-                "resichain", "resichain._record", "resichain.chain", "resichain.cli",
-                "resichain.errors",
+                "resichain", "resichain._cli_io", "resichain._common", "resichain._record",
+                "resichain.chain", "resichain.cli", "resichain.errors",
             ]
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "3"], ["ap", "--class", "e:w"]])
+def test_a_heavy_verb_run_as_a_module_imports_no_second_cli(argv):
+    # under -m the CLI runs as __main__; a handler module that imported
+    # resichain.cli would compile all of it a second time
+    proc = run_interpreter(["-X", "importtime", "-m", "resichain.cli", *argv])
+    assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "resichain._cli_heavy" in imported
+    assert "resichain.cli" not in imported
+
+
+# --- argument parsing -------------------------------------------------------
+
+VERBS = [
+    "make", "show", "check", "residual", "decompose", "embed", "homs", "congruences",
+    "quotient", "enumerate", "amalgamate", "classify", "ap", "words", "as-op",
+    "pcondition", "ppartition", "verify",
+]
+# the verbs that exit 2 when given nothing; the others read stdin
+NEED_AN_ARGUMENT = {
+    "make", "residual", "embed", "homs", "quotient", "enumerate", "amalgamate", "classify",
+    "words", "as-op", "ppartition", "verify",
+}
+
+
+def parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that must end the call."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+def test_the_parity_cases_cover_every_verb():
+    assert list(cli._VERBS) == VERBS
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_one_verb_parsing_prints_what_the_full_parser_prints(capsys, verb):
+    # main builds a parser for argv[0] alone and hands anything that parser
+    # rejects to the full one; help and usage errors must read the same
+    cases = [([verb, "--help"], 0), ([verb, "--no-such-flag"], 2)]
+    if verb in NEED_AN_ARGUMENT:
+        cases.append(([verb], 2))
+    for argv, code in cases:
+        want = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert want[0] == code
+        assert parse_outcome(capsys, main, argv) == want
+
+
+def test_a_valid_call_builds_only_its_verbs_parser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: built.append(verb) or build(verb))
+    assert main(["words", "leq", "per:01", "per:0"]) == 0
+    assert built == ["words"]
+    with pytest.raises(SystemExit):
+        main(["words", "--no-such-flag"])
+    assert built == ["words", "words", None]
+
+
+def test_one_verb_parsing_reads_sys_argv_in_a_fresh_interpreter():
+    # only a fresh `python -m resichain.cli` reaches main(argv=None)
+    full = "import sys; from resichain.cli import build_parser; build_parser().parse_args(sys.argv[1:])"
+    for argv in (["amalgamate", "--no-such-flag"], ["words", "--help"], ["verify"]):
+        got = run_interpreter(["-m", "resichain.cli", *argv])
+        want = run_interpreter(["-c", full, *argv])
+        assert want.returncode in (0, 2) and want.stdout + want.stderr
+        assert (got.returncode, got.stdout, got.stderr) == (
+            want.returncode, want.stdout, want.stderr,
+        )
 
 
 # --- amalgamation and classification ---------------------------------------
